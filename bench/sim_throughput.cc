@@ -78,17 +78,13 @@ tailScenario(core::Mechanism mech, std::uint64_t requests_per_tenant)
 /**
  * Run @p make_config's scenario @p repeat times, keeping the fastest
  * wall time, and fold the (identical) deterministic results plus the
- * wall-derived rates into a BenchRun named @p name. The single field
- * list both measured sections share.
+ * wall-derived rates into a BenchRun named @p name.
  */
 template <typename MakeConfig>
 sim::BenchRun
 measureScenario(const std::string &name, const MakeConfig &make_config,
                 int repeat)
 {
-    sim::BenchRun run;
-    run.name = name;
-
     host::ScenarioResult res;
     double best = -1.0;
     for (int i = 0; i < repeat; ++i) {
@@ -100,59 +96,7 @@ measureScenario(const std::string &name, const MakeConfig &make_config,
         if (best < 0.0 || secs < best)
             best = secs;
     }
-
-    const ssd::RunStats &a = res.array;
-    run.wallSeconds = best;
-    run.executedEvents = a.executedEvents;
-    run.reads = a.reads;
-    run.writes = a.writes;
-    run.retrySamples = a.retrySamples;
-    run.avgRetrySteps = a.avgRetrySteps;
-    run.suspensions = a.suspensions;
-    run.gcCollections = a.gcCollections;
-    run.readFailures = a.readFailures;
-    run.refreshes = a.refreshes;
-    run.simulatedMs = a.simulatedMs;
-    run.p50ReadUs = a.p50ReadResponseUs;
-    run.p99ReadUs = a.p99ReadResponseUs;
-    run.p999ReadUs = a.p999ReadResponseUs;
-    run.profileCacheHits = a.profileCacheHits;
-    run.profileCacheMisses = a.profileCacheMisses;
-    run.degradedReads = a.degradedReads;
-    run.reconstructionReads = a.reconstructionReads;
-    run.parityWrites = a.parityWrites;
-    run.p99DegradedReadUs = a.p99DegradedReadUs;
-    run.p999DegradedReadUs = a.p999DegradedReadUs;
-    run.cacheHits = a.cacheHits;
-    run.cacheMisses = a.cacheMisses;
-    run.cacheEvictions = a.cacheEvictions;
-    run.prefetchIssued = a.prefetchIssued;
-    run.prefetchUseful = a.prefetchUseful;
-    run.hostP99ReadUs = a.p99HostReadUs;
-    run.hostTimeouts = a.hostTimeouts;
-    run.hostRetries = a.hostRetries;
-    run.hostFailovers = a.hostFailovers;
-    run.ueccReads = a.ueccReads;
-    run.failedRequests = a.failedRequests;
-    run.rebuildReads = a.rebuildReads;
-    run.timeToRebuildMs = a.timeToRebuildMs;
-    run.avgFabricWaitUs = a.avgFabricWaitUs;
-    run.windowsRun = a.executorWindowsRun;
-    run.windowsSkipped = a.executorWindowsSkipped;
-    run.parks = a.executorParks;
-    run.spins = a.executorSpins;
-    for (const ssd::RunStats::FabricLinkStats &l : a.fabricLinks) {
-        run.fabricBusyUs += l.busyUs;
-        run.fabricBytes += l.bytesCarried;
-        if (l.maxQueueDepth > run.fabricMaxQueueDepth)
-            run.fabricMaxQueueDepth = l.maxQueueDepth;
-    }
-    if (best > 0.0) {
-        run.eventsPerSecond =
-            static_cast<double>(a.executedEvents) / best;
-        run.readsPerSecond = static_cast<double>(a.reads) / best;
-    }
-    return run;
+    return host::benchRunFrom(name, res.array, best);
 }
 
 sim::BenchRun

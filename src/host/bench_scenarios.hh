@@ -12,9 +12,12 @@
 #define SSDRR_HOST_BENCH_SCENARIOS_HH
 
 #include <cstdint>
+#include <string>
 
 #include "host/host_interface.hh"
 #include "host/scenario_spec.hh"
+#include "sim/bench_report.hh"
+#include "ssd/ssd.hh"
 
 namespace ssdrr::host {
 
@@ -32,6 +35,16 @@ namespace ssdrr::host {
 ScenarioSpec
 buildBenchScenario(std::uint64_t requests_per_tenant = 400,
                    Arbitration arb = Arbitration::RoundRobin);
+
+/**
+ * Fold one measured run into a perf-trajectory entry named @p name:
+ * every RunStats counter BenchRun mirrors, plus the rates derived
+ * from @p wall_seconds. The only RunStats -> BenchRun copy, shared by
+ * bench_sim_throughput and ssdrr_sim --bench-json.
+ */
+sim::BenchRun benchRunFrom(const std::string &name,
+                           const ssd::RunStats &stats,
+                           double wall_seconds);
 
 } // namespace ssdrr::host
 

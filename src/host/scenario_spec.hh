@@ -14,10 +14,11 @@
  * ScenarioBuilder.
  *
  * The same spec behaves identically everywhere it is consumed
- * (ssdrr_sim --scenario, benches, tests, examples): toConfig()
- * materializes the exact ScenarioConfig the legacy hand-wired paths
- * used to build, so a spec-driven run is bit-identical to its
- * flag-driven equivalent.
+ * (ssdrr_sim --scenario, ssdrr_sweep, benches, tests, examples):
+ * toConfig() materializes the exact ScenarioConfig the hand-wired
+ * paths used to build. The command line edits a spec document by
+ * path (host/scenario_edit.hh, `ssdrr_sim --set path=value`) rather
+ * than through per-field flags.
  */
 
 #ifndef SSDRR_HOST_SCENARIO_SPEC_HH

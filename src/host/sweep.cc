@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "core/mechanism.hh"
-#include "fabric/topology.hh"
+#include "host/scenario_edit.hh"
 #include "sim/logging.hh"
 
 namespace ssdrr::host {
@@ -22,146 +22,7 @@ sweepFail(const std::string &msg)
     throw SpecError(msg);
 }
 
-/** find() that lets us descend into a document we own mutably. */
-Value *
-mutFind(Value &obj, const std::string &key)
-{
-    return const_cast<Value *>(
-        static_cast<const Value &>(obj).find(key));
-}
-
-/** One "name[i][j]" piece of a dotted axis path. */
-struct PathSeg {
-    std::string key;
-    std::vector<std::size_t> indices;
-};
-
-std::vector<PathSeg>
-parsePath(const std::string &path)
-{
-    std::vector<PathSeg> segs;
-    std::size_t pos = 0;
-    while (pos <= path.size()) {
-        std::size_t dot = path.find('.', pos);
-        if (dot == std::string::npos)
-            dot = path.size();
-        std::string token = path.substr(pos, dot - pos);
-        PathSeg seg;
-        std::size_t br = token.find('[');
-        seg.key = token.substr(0, br);
-        if (seg.key.empty())
-            sweepFail("axis path \"" + path +
-                      "\": empty key segment");
-        while (br != std::string::npos) {
-            const std::size_t close = token.find(']', br);
-            const std::string digits =
-                close == std::string::npos
-                    ? std::string()
-                    : token.substr(br + 1, close - br - 1);
-            if (digits.empty() ||
-                digits.find_first_not_of("0123456789") !=
-                    std::string::npos)
-                sweepFail("axis path \"" + path +
-                          "\": malformed array index in \"" + token +
-                          "\"");
-            seg.indices.push_back(std::stoul(digits));
-            br = token.find('[', close);
-            if (br != std::string::npos && br != close + 1)
-                sweepFail("axis path \"" + path +
-                          "\": malformed array index in \"" + token +
-                          "\"");
-        }
-        segs.push_back(std::move(seg));
-        pos = dot + 1;
-    }
-    return segs;
-}
-
-/**
- * Assign @p val at @p path inside @p root. Intermediate objects are
- * created on demand (so an axis can introduce an optional section),
- * but array elements must already exist in the base — a sweep never
- * grows an array implicitly, that is always a typo'd index.
- */
-void
-setJsonPath(Value &root, const std::string &path, const Value &val)
-{
-    const std::vector<PathSeg> segs = parsePath(path);
-    Value *cur = &root;
-    std::string seen;
-    for (std::size_t i = 0; i < segs.size(); ++i) {
-        const PathSeg &s = segs[i];
-        const bool last = i + 1 == segs.size();
-        if (!cur->isObject())
-            sweepFail("axis path \"" + path + "\": " +
-                      (seen.empty() ? "the document" : seen) +
-                      " is not an object");
-        Value *child = mutFind(*cur, s.key);
-        if (last && s.indices.empty()) {
-            cur->set(s.key, val);
-            return;
-        }
-        if (!child) {
-            if (!s.indices.empty())
-                sweepFail("axis path \"" + path + "\": \"" + s.key +
-                          "\" does not exist in the base document");
-            cur->set(s.key, Value::object());
-            child = mutFind(*cur, s.key);
-        }
-        seen += (seen.empty() ? "" : ".") + s.key;
-        for (std::size_t idx : s.indices) {
-            if (!child->isArray())
-                sweepFail("axis path \"" + path + "\": " + seen +
-                          " is not an array");
-            if (idx >= child->elements().size())
-                sweepFail("axis path \"" + path + "\": index " +
-                          std::to_string(idx) + " out of range for " +
-                          seen + " (size " +
-                          std::to_string(child->elements().size()) +
-                          ")");
-            child = &const_cast<Value &>(child->elements()[idx]);
-            seen += "[" + std::to_string(idx) + "]";
-        }
-        if (last) {
-            *child = val;
-            return;
-        }
-        cur = child;
-    }
-}
-
 constexpr const char *kMechanismAxis = "mechanism";
-constexpr const char *kFabricPresetAxis = "fabric.preset";
-
-/**
- * Apply one axis value to a scenario document. The two sugars cover
- * fields whose spec encoding is not a single scalar; anything else
- * is a literal JSON path. "fabric.preset" is document-invisible (the
- * preset materializes post-parse against the cell's drive count), so
- * here it only type-checks.
- */
-void
-applyAxisValue(Value &doc, const std::string &path, const Value &val)
-{
-    if (path == kMechanismAxis) {
-        if (!val.isString() ||
-            !core::tryParseMechanism(val.asString(), nullptr))
-            sweepFail("expected a mechanism name, got " +
-                      (val.isString() ? "\"" + val.asString() + "\""
-                                      : std::string(val.typeName())));
-        Value mechs = Value::array();
-        mechs.push(val);
-        doc.set("mechanisms", std::move(mechs));
-        return;
-    }
-    if (path == kFabricPresetAxis) {
-        if (!val.isString())
-            sweepFail("expected a topology preset name, got " +
-                      std::string(val.typeName()));
-        return;
-    }
-    setJsonPath(doc, path, val);
-}
 
 std::string
 valueLabel(const Value &v)
@@ -255,9 +116,9 @@ SweepSpec::fromJson(const Value &v)
     for (const SweepAxis &axis : sweep.axes) {
         for (std::size_t j = 0; j < axis.values.size(); ++j) {
             try {
-                Value doc = sweep.base;
-                applyAxisValue(doc, axis.path, axis.values[j]);
-                (void)ScenarioSpec::fromJson(doc);
+                (void)applyScenarioEdits(sweep.base,
+                                         {{axis.path, axis.values[j]}},
+                                         /*validate=*/false);
             } catch (const SpecError &e) {
                 sweepFail("axes." + axis.path + "[" +
                           std::to_string(j) +
@@ -339,25 +200,14 @@ ScenarioSpec
 SweepSpec::materialize(std::size_t cell) const
 {
     const std::vector<std::size_t> c = coordinates(cell);
+    std::vector<ScenarioEdit> edits;
+    for (std::size_t i = 0; i < axes.size(); ++i)
+        edits.push_back({axes[i].path, axes[i].values[c[i]]});
     try {
-        Value doc = base;
-        std::string preset;
-        for (std::size_t i = 0; i < axes.size(); ++i) {
-            const Value &val = axes[i].values[c[i]];
-            if (axes[i].path == kFabricPresetAxis)
-                preset = val.asString();
-            applyAxisValue(doc, axes[i].path, val);
-        }
-        ScenarioSpec spec = ScenarioSpec::fromJson(doc);
-        if (!preset.empty())
-            spec.fabric = fabric::makePreset(preset, spec.drives);
-        spec.validate();
-        return spec;
-    } catch (const std::exception &e) {
-        // SpecError from the schema/validate layers, TopologyError
-        // from a preset: either way the combination is the news.
-        sweepFail("cell " + std::to_string(cell) + " (" +
-                  label(cell) + "): " + e.what());
+        return applyScenarioEdits(base, edits);
+    } catch (const SpecError &e) {
+        sweepFail("cell " + std::to_string(cell) + " (" + label(cell) +
+                  "): " + e.what());
     }
 }
 

@@ -20,12 +20,10 @@
  *       }
  *     }
  *
- * Axis paths are dot-separated keys into the scenario document, with
- * [N] indexing into arrays (the element must exist in the base).
- * Two sugars exist for fields whose spec encoding is not a single
- * scalar: "mechanism" (a mechanism name; the cell runs exactly that
- * mechanism) and "fabric.preset" (a topology preset name like "flat"
- * or "tree:2x2", materialized for the cell's drive count).
+ * Axis paths are scenario edit paths (host/scenario_edit.hh, the
+ * grammar of `ssdrr_sim --set`): dot-separated keys with [N] array
+ * indexing, plus the "mechanism" and "fabric.preset" sugars. A cell
+ * is the base with one edit per axis, applied in axis order.
  *
  * Expansion is row-major with the first axis slowest, in the file's
  * axis order (the JSON codec preserves insertion order). Every axis

@@ -8,7 +8,9 @@
  * (stable row order, stable digest, error-row degradation). The
  * process-pool driver on top of this is covered by the
  * sweep_jobs_determinism ctest, which runs the ssdrr_sweep binary
- * at --jobs 1 vs --jobs 4 and diffs bytes.
+ * at --jobs 1 vs --jobs 4 and diffs bytes. The ScenarioEdit cases
+ * cover the path setter itself (host/scenario_edit.hh), shared with
+ * ssdrr_sim --set.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <string>
 
 #include "host/bench_scenarios.hh"
+#include "host/scenario_edit.hh"
 #include "host/sweep.hh"
 
 namespace ssdrr {
@@ -211,6 +214,109 @@ TEST(Sweep, SemanticallyInvalidCellNamesTheCell)
         EXPECT_NE(msg.find("cell 1"), std::string::npos) << msg;
         EXPECT_NE(msg.find("drives=2"), std::string::npos) << msg;
     }
+}
+
+// ----- the shared path setter (host/scenario_edit.hh), which both
+// sweep axes and ssdrr_sim --set go through -----
+
+host::ScenarioSpec
+editBench(const std::vector<std::string> &edits)
+{
+    std::vector<host::ScenarioEdit> parsed;
+    for (const std::string &e : edits)
+        parsed.push_back(host::parseScenarioEdit(e));
+    return host::applyScenarioEdits(host::buildBenchScenario(40).toJson(),
+                                    parsed);
+}
+
+/** The SpecError message @p edits raise ("" if none). */
+std::string
+editError(const std::vector<std::string> &edits)
+{
+    try {
+        editBench(edits);
+    } catch (const host::SpecError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ScenarioEdit, SetsLiteralPathsAndArrayElements)
+{
+    const host::ScenarioSpec spec =
+        editBench({"ssd.pecKilo=3", "tenants[1].workload=stg_0",
+                   "host.queueDepth=32"});
+    EXPECT_EQ(spec.ssd.pecKilo, 3.0);
+    EXPECT_EQ(spec.tenants[1].workload, "stg_0");
+    EXPECT_EQ(spec.tenants[0].workload, "usr_1");
+    EXPECT_EQ(spec.queueDepth, 32u);
+}
+
+TEST(ScenarioEdit, MechanismSugarRunsExactlyThatMechanism)
+{
+    EXPECT_EQ(editBench({"mechanism=PnAR2"}).mechanisms,
+              (std::vector<std::string>{"PnAR2"}));
+    EXPECT_NE(editError({"mechanism=Quantum"}).find("mechanism"),
+              std::string::npos);
+}
+
+TEST(ScenarioEdit, FabricPresetMaterializesAfterALaterDrivesEdit)
+{
+    // The bench scenario has 2 drives; tree:2x2 needs the 4 that the
+    // later edit sets.
+    const host::ScenarioSpec spec =
+        editBench({"fabric.preset=tree:2x2", "drives=4"});
+    EXPECT_EQ(spec.drives, 4u);
+    EXPECT_EQ(spec.fabric.drives.size(), 4u);
+    EXPECT_NE(editError({"fabric.preset=tree:2x2"}).find("fabric.preset"),
+              std::string::npos);
+}
+
+TEST(ScenarioEdit, ValuesParseAsJsonElseAsStrings)
+{
+    EXPECT_TRUE(host::parseScenarioEdit("drives=4").value.isNumber());
+    EXPECT_TRUE(host::parseScenarioEdit("ssd.suspension=false")
+                    .value.isBool());
+    const host::ScenarioEdit word =
+        host::parseScenarioEdit("tenants[0].workload=YCSB-C");
+    EXPECT_EQ(word.path, "tenants[0].workload");
+    ASSERT_TRUE(word.value.isString());
+    EXPECT_EQ(word.value.asString(), "YCSB-C");
+    EXPECT_TRUE(
+        host::parseScenarioEdit("array.failedDrives=[1]").value.isArray());
+    EXPECT_TRUE(host::parseScenarioEdit("host={\"queueDepth\": 4}")
+                    .value.isObject());
+
+    const host::ScenarioSpec spec = editBench(
+        {"drives=4", "array.raidLevel=raid5", "array.failedDrives=[1]",
+         "host.filters=[{\"type\": \"cache\", \"sizeBytes\": 1048576}]"});
+    EXPECT_EQ(spec.raidLevel, "raid5");
+    EXPECT_EQ(spec.failedDrives, (std::vector<std::uint32_t>{1}));
+    ASSERT_EQ(spec.filters.size(), 1u);
+    EXPECT_EQ(spec.filters[0].type, "cache");
+}
+
+TEST(ScenarioEdit, LaterEditOverridesEarlierOne)
+{
+    EXPECT_EQ(editBench({"drives=4", "drives=3"}).drives, 3u);
+    EXPECT_EQ(editBench({"mechanism=AR2", "mechanism=NoRR"}).mechanisms,
+              (std::vector<std::string>{"NoRR"}));
+}
+
+TEST(ScenarioEdit, RejectsTyposAndBadIndicesNamingThePath)
+{
+    const std::string typo = editError({"ssd.pecKiloTypo=1"});
+    EXPECT_NE(typo.find("ssd: unknown key \"pecKiloTypo\""),
+              std::string::npos)
+        << typo;
+    const std::string range = editError({"tenants[9].workload=usr_1"});
+    EXPECT_NE(range.find("tenants[9].workload"), std::string::npos)
+        << range;
+    EXPECT_NE(range.find("out of range"), std::string::npos) << range;
+    EXPECT_NE(editError({"tenants[x].qdLimit=1"}).find("tenants[x]"),
+              std::string::npos);
+    EXPECT_THROW(host::parseScenarioEdit("drives"), host::SpecError);
+    EXPECT_THROW(host::parseScenarioEdit("=4"), host::SpecError);
 }
 
 TEST(Sweep, AggregateIsDeterministicAndDigestIsStable)

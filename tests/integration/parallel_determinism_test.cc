@@ -485,7 +485,7 @@ TEST(ParallelDeterminism, FabricScenarioMatchesAcrossThreads)
     }
 }
 
-/** The tree preset behind the --fabric sugar must behave the same. */
+/** The tree preset behind the fabric.preset sugar must behave the same. */
 TEST(ParallelDeterminism, FabricPresetMatchesAcrossThreads)
 {
     auto run = [](std::uint32_t threads) {

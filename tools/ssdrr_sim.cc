@@ -25,91 +25,38 @@
  *     --profile                  print the trace profile and exit
  *     --list-workloads           print the Table-2 suite and exit
  *
- * Multi-tenant mode (host/array layer; enabled by --tenants):
- *     --tenants T                tenants, each on its own queue pair
- *     --queue-depth D            SQ depth / closed-loop QD (default 16)
- *     --arbitration rr|wrr       command-fetch arbitration (default rr;
- *                                wrr gives tenant i weight i+1; the
- *                                slo policy needs per-tenant sloUs
- *                                values, so it is scenario-file-only)
- *     --array N                  array of N drives
- *     --raid LEVEL               array layout: raid0 (striping,
- *                                default) or raid5 (rotating parity,
- *                                read-modify-write parity updates,
- *                                degraded-read reconstruction;
- *                                needs --array >= 3)
- *     --stripe-unit N            RAID-5 stripe-unit pages (default 1)
- *     --failed-drives A,B,...    failed member drives (RAID-5 serves
- *                                their data by reconstructing from
- *                                the surviving stripe mates)
- *     --open-loop                inject at trace arrival times instead
- *                                of closed-loop
- *     --host-link-us X           host dispatch/completion turnaround
- *                                in microseconds (default 0 =
- *                                instantaneous coupling on one shared
- *                                event queue; > 0 models the NVMe
- *                                doorbell/interrupt path and runs
- *                                drives on private event queues)
- *     --transfer-us-per-kb X     size-proportional link transfer cost
- *                                charged per host command on dispatch
- *                                and completion (default 0; sugar for
- *                                an implicit "xfer" filter)
- *     --cache-mb N               host-side DRAM read cache of N MiB
- *                                (a "cache" filter on the chain; hits
- *                                complete in DRAM latency without
- *                                touching the array)
- *     --readahead PAGES          prefetch PAGES pages beyond detected
- *                                sequential read streams (a
- *                                "readahead" filter, stacked above
- *                                the cache so prefetches fill it)
- *     --fault K=V,...            append a fault event to the run's
- *                                timeline (repeatable). Keys are the
- *                                scenario-file fields: type=failStop|
- *                                failSlow|uecc, drive=N, atUs=X, and
- *                                per-type untilUs=X, multiplier=X,
- *                                probability=X, rebuild=true|false,
- *                                rebuildRows=N
- *     --timeout-us X             per-subrequest deadline (scenario
- *                                host.timeoutUs; required by any
- *                                failStop fault)
- *     --fabric PRESET            storage-fabric preset between host
- *                                and drives (scenario "fabric"
- *                                object): "flat" = one direct link
- *                                per drive, "tree:SxD" = S switches
- *                                with D drives each (SxD must equal
- *                                --array). Mutually exclusive with
- *                                --host-link-us; adds a "fabric"
- *                                output row per mechanism
- *
- * Scenario files (declarative API v2; see README "Scenario files"
+ * Multi-tenant mode (host/array layer; see README "Scenario files"
  * and docs/SCENARIOS.md):
  *     --scenario FILE.json       run a serialized ScenarioSpec; the
  *                                file defines geometry, mechanisms,
- *                                array shape, host options and
- *                                tenants (QoS, channel affinity,
- *                                time horizons)
- *     --dump-scenario            print the scenario the flags above
- *                                describe (or a canonicalized
- *                                --scenario file) as JSON and exit
+ *                                array shape, host options, fabric,
+ *                                faults and tenants
+ *     --set PATH=VALUE           edit the scenario before it runs
+ *                                (repeatable, applied in order; the
+ *                                ssdrr_sweep axis grammar, see
+ *                                host/scenario_edit.hh). VALUE is
+ *                                parsed as JSON, else taken as a
+ *                                string. Examples:
+ *                                  --set drives=4
+ *                                  --set host.hostLinkUs=10
+ *                                  --set threads=4
+ *                                  --set array.raidLevel=raid5
+ *                                  --set fabric.preset=tree:2x2
+ *                                  --set mechanism=PnAR2
+ *                                  --set 'host.filters=[{"type":
+ *                                    "cache","sizeBytes":4194304}]'
+ *                                threads never changes results, but
+ *                                anything but 1 needs a positive
+ *                                host.hostLinkUs or a fabric
+ *     --dump-scenario            print the (edited, canonicalized)
+ *                                scenario as JSON and exit
  *
- * Execution (allowed with either mode; never changes results):
- *     --threads N                worker threads for the sharded
- *                                per-drive engine (default 1; 0 =
- *                                use the machine's hardware
- *                                concurrency; anything but 1 needs
- *                                a positive host link —
- *                                --host-link-us or the scenario's
- *                                host.hostLinkUs). Overrides a
- *                                scenario file's "threads" field.
- *                                Results are bit-identical for every
- *                                N.
- *
- * A legacy multi-tenant invocation is sugar for a scenario: the
- * flags build a ScenarioSpec internally, so `--dump-scenario`'s JSON
- * rerun through `--scenario` produces bit-identical results.
+ * The scenario file must be valid on its own; --set edits its
+ * canonical form, and `--dump-scenario`'s JSON rerun through
+ * `--scenario` produces bit-identical results.
  *
  * All flag-validation failures exit with status 2 and name the
- * offending flag.
+ * offending flag or scenario path.
  *
  * Perf trajectory:
  *     --bench-json PATH          also write a BENCH_sim_throughput
@@ -124,14 +71,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "fabric/topology.hh"
+#include "host/bench_scenarios.hh"
 #include "host/scenario.hh"
+#include "host/scenario_edit.hh"
 #include "host/scenario_spec.hh"
 #include "sim/bench_report.hh"
 #include "ssd/ssd.hh"
@@ -158,38 +104,16 @@ struct Options {
     bool paperGeometry = false;
     std::uint64_t seed = 42;
     bool profileOnly = false;
-    std::uint32_t tenants = 0; ///< 0 = legacy single-replay mode
-    std::uint32_t queueDepth = 16;
-    std::string arbitration = "rr";
-    std::uint32_t array = 1;
-    std::string raid = "raid0";
-    std::uint32_t stripeUnit = 1;
-    std::vector<std::uint32_t> failedDrives;
-    bool openLoop = false;
-    double hostLinkUs = 0.0;
-    double transferUsPerKb = 0.0;
-    /** Fabric preset name ("flat", "tree:SxD"; "" = no fabric). */
-    std::string fabricPreset;
-    /** Host DRAM read cache in MiB (0 = no cache filter). */
-    std::uint32_t cacheMb = 0;
-    /** Readahead window in pages (0 = no readahead filter). */
-    std::uint32_t readaheadPages = 0;
-    /** Fault timeline from --fault flags (empty = faultless). */
-    std::vector<host::FaultSpec> faults;
-    /** Per-subrequest deadline in microseconds (0 = off). */
-    double timeoutUs = 0.0;
-    std::uint32_t threads = 1;
-    bool threadsSet = false;
-    /** Scenario-file mode (mutually exclusive with legacy flags). */
+    /** Scenario-file mode (mutually exclusive with replay flags). */
     std::string scenarioPath;
+    /** --set edits, in command-line order. */
+    std::vector<std::string> edits;
     bool dumpScenario = false;
     bool listWorkloads = false;
     /** Perf-trajectory JSON output path (empty = off). */
     std::string benchJson;
-    /** Host-layer flags seen on the command line (for validation). */
-    std::vector<std::string> hostFlags;
-    /** Any legacy (non-scenario) flag seen, for --scenario checks. */
-    std::vector<std::string> legacyFlags;
+    /** Single-SSD replay flags seen, for --scenario checks. */
+    std::vector<std::string> replayFlags;
 };
 
 [[noreturn]] void
@@ -202,18 +126,11 @@ usage(const char *argv0)
                  "[--requests N] [--iops RATE]\n"
                  "  [--refresh MONTHS] [--no-suspension] "
                  "[--paper-geometry] [--seed N] [--profile]\n"
-                 "  [--tenants T] [--queue-depth D] "
-                 "[--arbitration rr|wrr] [--array N] "
-                 "[--open-loop]\n"
-                 "  [--raid raid0|raid5] [--stripe-unit N] "
-                 "[--failed-drives A,B,...]\n"
-                 "  [--host-link-us X] [--transfer-us-per-kb X] "
-                 "[--fabric flat|tree:SxD] [--threads N]\n"
-                 "  [--cache-mb N] [--readahead PAGES] "
-                 "[--fault K=V,...] [--timeout-us X]\n"
-                 "  [--scenario FILE.json] [--dump-scenario] "
-                 "[--list-workloads] [--bench-json PATH]\n",
-                 argv0);
+                 "  [--list-workloads] [--bench-json PATH]\n"
+                 "   or: %s --scenario FILE.json [--set PATH=VALUE]... "
+                 "[--dump-scenario]\n"
+                 "  [--bench-json PATH]\n",
+                 argv0, argv0);
     std::exit(2);
 }
 
@@ -240,16 +157,6 @@ parseUint(const std::string &flag, const char *text)
                                     "integer, got '") +
                             text + "'");
     return static_cast<std::uint64_t>(v);
-}
-
-std::uint32_t
-parseUint32(const std::string &flag, const char *text)
-{
-    const std::uint64_t v = parseUint(flag, text);
-    if (v > std::numeric_limits<std::uint32_t>::max())
-        flagError(flag, std::string("value '") + text +
-                            "' is out of range");
-    return static_cast<std::uint32_t>(v);
 }
 
 double
@@ -280,49 +187,6 @@ splitCommas(const std::string &s)
     return out;
 }
 
-/** Parse one --fault K=V,... value (keys = scenario-file fields). */
-host::FaultSpec
-parseFault(const std::string &flag, const char *text)
-{
-    host::FaultSpec f;
-    for (const std::string &kv : splitCommas(text)) {
-        const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 == kv.size())
-            flagError(flag,
-                      "expected key=value, got '" + kv + "'");
-        const std::string key = kv.substr(0, eq);
-        const std::string val = kv.substr(eq + 1);
-        if (key == "type") {
-            f.type = val;
-        } else if (key == "drive") {
-            f.drive = parseUint32(flag, val.c_str());
-        } else if (key == "atUs") {
-            f.atUs = parseDouble(flag, val.c_str());
-        } else if (key == "untilUs") {
-            f.untilUs = parseDouble(flag, val.c_str());
-        } else if (key == "multiplier") {
-            f.multiplier = parseDouble(flag, val.c_str());
-        } else if (key == "probability") {
-            f.probability = parseDouble(flag, val.c_str());
-        } else if (key == "rebuild") {
-            if (val != "true" && val != "false")
-                flagError(flag, "rebuild expects true or false, "
-                                "got '" +
-                                    val + "'");
-            f.rebuild = val == "true";
-        } else if (key == "rebuildRows") {
-            f.rebuildRows = parseUint(flag, val.c_str());
-        } else {
-            flagError(flag, "unknown key '" + key +
-                                "' (known: type, drive, atUs, "
-                                "untilUs, multiplier, probability, "
-                                "rebuild, rebuildRows)");
-        }
-    }
-    return f;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -334,116 +198,47 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        auto legacy = [&] { opt.legacyFlags.push_back(arg); };
+        auto replay = [&] { opt.replayFlags.push_back(arg); };
         if (arg == "--workload") {
             opt.workload = next();
-            legacy();
+            replay();
         } else if (arg == "--mechanisms") {
             opt.mechanisms = splitCommas(next());
-            legacy();
+            replay();
         } else if (arg == "--pec") {
             opt.pec = parseDouble(arg, next());
-            legacy();
+            replay();
         } else if (arg == "--retention") {
             opt.retention = parseDouble(arg, next());
-            legacy();
+            replay();
         } else if (arg == "--temperature") {
             opt.temperature = parseDouble(arg, next());
-            legacy();
+            replay();
         } else if (arg == "--requests") {
             opt.requests = parseUint(arg, next());
-            legacy();
+            replay();
         } else if (arg == "--iops") {
             opt.iops = parseDouble(arg, next());
-            legacy();
+            replay();
         } else if (arg == "--refresh") {
             opt.refresh = parseDouble(arg, next());
-            legacy();
+            replay();
         } else if (arg == "--no-suspension") {
             opt.suspension = false;
-            legacy();
+            replay();
         } else if (arg == "--paper-geometry") {
             opt.paperGeometry = true;
-            legacy();
+            replay();
         } else if (arg == "--seed") {
             opt.seed = parseUint(arg, next());
-            legacy();
+            replay();
         } else if (arg == "--profile") {
             opt.profileOnly = true;
-            legacy();
-        } else if (arg == "--tenants") {
-            opt.tenants =
-                parseUint32(arg, next());
-            legacy();
-        } else if (arg == "--queue-depth") {
-            opt.queueDepth =
-                parseUint32(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--arbitration") {
-            opt.arbitration = next();
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--array") {
-            opt.array =
-                parseUint32(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--raid") {
-            opt.raid = next();
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--stripe-unit") {
-            opt.stripeUnit = parseUint32(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--failed-drives") {
-            opt.failedDrives.clear();
-            for (const std::string &d : splitCommas(next()))
-                opt.failedDrives.push_back(
-                    parseUint32(arg, d.c_str()));
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--open-loop") {
-            opt.openLoop = true;
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--transfer-us-per-kb") {
-            opt.transferUsPerKb = parseDouble(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--host-link-us") {
-            opt.hostLinkUs = parseDouble(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--fabric") {
-            opt.fabricPreset = next();
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--cache-mb") {
-            opt.cacheMb = parseUint32(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--readahead") {
-            opt.readaheadPages = parseUint32(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--fault") {
-            opt.faults.push_back(parseFault(arg, next()));
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--timeout-us") {
-            opt.timeoutUs = parseDouble(arg, next());
-            opt.hostFlags.push_back(arg);
-            legacy();
-        } else if (arg == "--threads") {
-            // An execution knob, not a scenario property: legal with
-            // --scenario too (it overrides the file's "threads") and
-            // never changes simulation results.
-            opt.threads = parseUint32(arg, next());
-            opt.threadsSet = true;
+            replay();
         } else if (arg == "--scenario") {
             opt.scenarioPath = next();
+        } else if (arg == "--set") {
+            opt.edits.push_back(next());
         } else if (arg == "--dump-scenario") {
             opt.dumpScenario = true;
         } else if (arg == "--list-workloads") {
@@ -458,126 +253,6 @@ parseArgs(int argc, char **argv)
         }
     }
     return opt;
-}
-
-/** Fold one mechanism's run into a perf-trajectory entry. */
-sim::BenchRun
-benchRunFrom(const std::string &name, const ssd::RunStats &st,
-             double wall_seconds)
-{
-    sim::BenchRun run;
-    run.name = name;
-    run.wallSeconds = wall_seconds;
-    run.executedEvents = st.executedEvents;
-    run.reads = st.reads;
-    run.writes = st.writes;
-    run.retrySamples = st.retrySamples;
-    run.avgRetrySteps = st.avgRetrySteps;
-    run.suspensions = st.suspensions;
-    run.gcCollections = st.gcCollections;
-    run.readFailures = st.readFailures;
-    run.refreshes = st.refreshes;
-    run.simulatedMs = st.simulatedMs;
-    run.p50ReadUs = st.p50ReadResponseUs;
-    run.p99ReadUs = st.p99ReadResponseUs;
-    run.p999ReadUs = st.p999ReadResponseUs;
-    run.profileCacheHits = st.profileCacheHits;
-    run.profileCacheMisses = st.profileCacheMisses;
-    run.cacheHits = st.cacheHits;
-    run.cacheMisses = st.cacheMisses;
-    run.cacheEvictions = st.cacheEvictions;
-    run.prefetchIssued = st.prefetchIssued;
-    run.prefetchUseful = st.prefetchUseful;
-    run.hostP99ReadUs = st.p99HostReadUs;
-    run.hostTimeouts = st.hostTimeouts;
-    run.hostRetries = st.hostRetries;
-    run.hostFailovers = st.hostFailovers;
-    run.ueccReads = st.ueccReads;
-    run.failedRequests = st.failedRequests;
-    run.rebuildReads = st.rebuildReads;
-    run.timeToRebuildMs = st.timeToRebuildMs;
-    run.avgFabricWaitUs = st.avgFabricWaitUs;
-    for (const ssd::RunStats::FabricLinkStats &l : st.fabricLinks) {
-        run.fabricBusyUs += l.busyUs;
-        run.fabricBytes += l.bytesCarried;
-        if (l.maxQueueDepth > run.fabricMaxQueueDepth)
-            run.fabricMaxQueueDepth = l.maxQueueDepth;
-    }
-    if (wall_seconds > 0.0) {
-        run.eventsPerSecond =
-            static_cast<double>(st.executedEvents) / wall_seconds;
-        run.readsPerSecond =
-            static_cast<double>(st.reads) / wall_seconds;
-    }
-    return run;
-}
-
-/** Build the scenario a legacy multi-tenant invocation describes. */
-host::ScenarioSpec
-specFromFlags(const Options &opt)
-{
-    host::ScenarioSpec spec;
-    spec.ssd.geometry = opt.paperGeometry ? "paper" : "small";
-    spec.ssd.pecKilo = opt.pec;
-    spec.ssd.retentionMonths = opt.retention;
-    spec.ssd.temperatureC = opt.temperature;
-    spec.ssd.refreshMonths = opt.refresh;
-    spec.ssd.suspension = opt.suspension;
-    spec.ssd.seed = opt.seed;
-    spec.mechanisms = opt.mechanisms;
-    spec.drives = opt.array;
-    spec.raidLevel = opt.raid;
-    spec.stripeUnitPages = opt.stripeUnit;
-    spec.failedDrives = opt.failedDrives;
-    spec.faults = opt.faults;
-    spec.timeoutUs = opt.timeoutUs;
-    spec.threads = opt.threads;
-    spec.queueDepth = opt.queueDepth;
-    spec.arbitration = opt.arbitration;
-    spec.hostLinkUs = opt.hostLinkUs;
-    spec.transferUsPerKb = opt.transferUsPerKb;
-    if (!opt.fabricPreset.empty()) {
-        try {
-            spec.fabric =
-                fabric::makePreset(opt.fabricPreset, opt.array);
-        } catch (const fabric::TopologyError &e) {
-            flagError("--fabric", e.what());
-        }
-    }
-    // Readahead stacks above the cache (chain order = array order):
-    // its prefetch completions travel up through the cache filter and
-    // fill it, so the stream's next demand read hits in DRAM.
-    if (opt.readaheadPages > 0) {
-        host::filter::FilterSpec f;
-        f.type = "readahead";
-        f.windowPages = opt.readaheadPages;
-        spec.filters.push_back(f);
-    }
-    if (opt.cacheMb > 0) {
-        host::filter::FilterSpec f;
-        f.type = "cache";
-        f.sizeBytes = std::uint64_t{opt.cacheMb} << 20;
-        spec.filters.push_back(f);
-    }
-
-    const bool wrr = opt.arbitration == "wrr";
-    // Keep total work comparable to the single-replay mode: the
-    // request budget is split across tenants.
-    const std::uint64_t per_tenant =
-        opt.requests / opt.tenants > 0 ? opt.requests / opt.tenants : 1;
-    for (std::uint32_t t = 0; t < opt.tenants; ++t) {
-        host::TenantSpec ts;
-        ts.workload = opt.workload;
-        ts.name = opt.workload + "#" + std::to_string(t);
-        ts.requests = per_tenant;
-        ts.iops = opt.iops;
-        ts.mode = opt.openLoop ? host::InjectionMode::OpenLoop
-                               : host::InjectionMode::ClosedLoop;
-        ts.qdLimit = opt.queueDepth;
-        ts.weight = wrr ? t + 1 : 1;
-        spec.tenants.push_back(ts);
-    }
-    return spec;
 }
 
 /**
@@ -638,7 +313,7 @@ runSpec(const host::ScenarioSpec &spec, const std::string &bench_json,
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0_wall)
                 .count();
-        bench_runs.push_back(benchRunFrom(mname, res.array, wall));
+        bench_runs.push_back(host::benchRunFrom(mname, res.array, wall));
         for (std::size_t t = 0; t < res.tenants.size(); ++t) {
             const host::TenantStats &s = res.tenants[t];
             std::printf("%-10s %-14s %3u %6llu %10.1f %10.1f %10.1f "
@@ -765,9 +440,9 @@ runSpec(const host::ScenarioSpec &spec, const std::string &bench_json,
     return 0;
 }
 
-/** Pre-validate legacy flags with their own names (exit 2). */
+/** Pre-validate replay flags with their own names (exit 2). */
 void
-validateLegacyFlags(const Options &opt)
+validateReplayFlags(const Options &opt)
 {
     for (const std::string &m : opt.mechanisms)
         if (!core::tryParseMechanism(m, nullptr))
@@ -787,66 +462,40 @@ validateLegacyFlags(const Options &opt)
         flagError("--retention", "must be >= 0");
     if (opt.refresh < 0.0)
         flagError("--refresh", "must be >= 0");
-    if (opt.tenants > 0) {
-        if (opt.profileOnly)
-            flagError("--profile",
-                      "not supported with --tenants (per-tenant "
-                      "traces are generated inside the scenario); "
-                      "drop --tenants to profile");
-        if (opt.array < 1)
-            flagError("--array", "needs at least 1 drive");
-        if (opt.queueDepth < 1)
-            flagError("--queue-depth", "needs at least 1");
-        if (!host::tryParseArbitration(opt.arbitration, nullptr))
-            flagError("--arbitration",
-                      "unknown policy '" + opt.arbitration +
-                          "' (expected rr or wrr)");
-        if (opt.arbitration == "slo")
-            // Legacy flags cannot express per-tenant SLOs, which the
-            // policy requires; pointing at --scenario beats the
-            // opaque "needs at least one tenant with sloUs" error.
-            flagError("--arbitration",
-                      "the slo policy needs per-tenant sloUs values, "
-                      "which only scenario files express; use "
-                      "--scenario (see README \"Scenario files\")");
-        if (opt.iops > 0.0 && !opt.openLoop)
-            // Closed-loop injection is completion-driven; trace
-            // arrival times (and thus the requested rate) are never
-            // consulted.
-            flagError("--iops", "has no effect on closed-loop "
-                                "tenants; add --open-loop");
-        if (opt.iops < 0.0)
-            flagError("--iops", "must be >= 0");
-        if (!host::tryParseRaidLevel(opt.raid, nullptr))
-            flagError("--raid", "unknown level '" + opt.raid +
-                                    "' (expected raid0 or raid5)");
-        if (opt.stripeUnit < 1)
-            flagError("--stripe-unit", "needs at least 1 page");
-        if (opt.hostLinkUs < 0.0)
-            flagError("--host-link-us", "must be >= 0");
-        if (opt.timeoutUs < 0.0)
-            flagError("--timeout-us", "must be >= 0");
-        if (opt.transferUsPerKb < 0.0)
-            flagError("--transfer-us-per-kb", "must be >= 0");
-        if (!opt.fabricPreset.empty() && opt.hostLinkUs > 0.0)
-            flagError("--fabric",
-                      "cannot be combined with --host-link-us (the "
-                      "fabric's links replace the flat host link)");
-        // 0 is "use hardware concurrency" sugar; like any
-        // multi-worker request it needs a window to parallelize over.
-        if (opt.threads != 1 && opt.hostLinkUs <= 0.0 &&
-            opt.fabricPreset.empty())
-            flagError("--threads",
-                      "worker threads need --host-link-us > 0 or a "
-                      "--fabric (the parallel engine synchronizes "
-                      "drives at link turnaround windows)");
-    } else if (opt.threadsSet && opt.scenarioPath.empty()) {
-        flagError("--threads", "requires --tenants or --scenario");
-    } else if (!opt.hostFlags.empty()) {
-        // Multi-tenant-only flags silently doing nothing would let a
-        // single-replay run masquerade as an array experiment.
-        flagError(opt.hostFlags.front(), "requires --tenants");
+}
+
+/** Scenario mode: load, apply the --set edits, then dump or run. */
+int
+runScenarioFile(const Options &opt)
+{
+    if (!opt.replayFlags.empty())
+        flagError("--scenario",
+                  "cannot be combined with " + opt.replayFlags.front() +
+                      " (the scenario file defines the run; edit it "
+                      "with --set)");
+    sim::json::Value doc;
+    try {
+        doc = host::ScenarioSpec::loadFile(opt.scenarioPath).toJson();
+    } catch (const host::SpecError &e) {
+        flagError("--scenario", e.what());
     }
+    std::vector<host::ScenarioEdit> edits;
+    std::string label = "ssdrr_sim --scenario " + opt.scenarioPath;
+    host::ScenarioSpec spec;
+    try {
+        for (const std::string &text : opt.edits) {
+            edits.push_back(host::parseScenarioEdit(text));
+            label += " --set " + text;
+        }
+        spec = host::applyScenarioEdits(doc, edits);
+    } catch (const host::SpecError &e) {
+        flagError("--set", e.what());
+    }
+    if (opt.dumpScenario) {
+        std::fputs(spec.toJsonText().c_str(), stdout);
+        return 0;
+    }
+    return runSpec(spec, opt.benchJson, label);
 }
 
 int
@@ -866,58 +515,17 @@ realMain(int argc, char **argv)
         return 0;
     }
 
-    if (!opt.scenarioPath.empty()) {
-        if (!opt.legacyFlags.empty())
-            flagError("--scenario",
-                      "cannot be combined with " +
-                          opt.legacyFlags.front() +
-                          " (the scenario file defines the run)");
-        host::ScenarioSpec spec;
-        try {
-            spec = host::ScenarioSpec::loadFile(opt.scenarioPath);
-            if (opt.threadsSet) {
-                spec.threads = opt.threads;
-                spec.validate(); // threads > 1 still needs a link
-            }
-        } catch (const host::SpecError &e) {
-            std::fprintf(stderr, "ssdrr_sim: --scenario: %s\n",
-                         e.what());
-            return 2;
-        }
-        if (opt.dumpScenario) {
-            std::fputs(spec.toJsonText().c_str(), stdout);
-            return 0;
-        }
-        const std::string label =
-            "ssdrr_sim --scenario " + opt.scenarioPath;
-        return runSpec(spec, opt.benchJson, label);
-    }
-
-    validateLegacyFlags(opt);
-
-    if (opt.dumpScenario && opt.tenants == 0)
+    if (!opt.scenarioPath.empty())
+        return runScenarioFile(opt);
+    if (!opt.edits.empty())
+        flagError("--set", "requires --scenario (it edits a scenario "
+                           "file)");
+    if (opt.dumpScenario)
         flagError("--dump-scenario",
-                  "requires --tenants or --scenario (single-replay "
-                  "runs are not scenario-shaped)");
+                  "requires --scenario (single-replay runs are not "
+                  "scenario-shaped)");
 
-    if (opt.tenants > 0) {
-        const host::ScenarioSpec spec = specFromFlags(opt);
-        try {
-            spec.validate();
-        } catch (const host::SpecError &e) {
-            std::fprintf(stderr, "ssdrr_sim: %s\n", e.what());
-            return 2;
-        }
-        if (opt.dumpScenario) {
-            std::fputs(spec.toJsonText().c_str(), stdout);
-            return 0;
-        }
-        const std::string label =
-            "ssdrr_sim --tenants " + std::to_string(opt.tenants) +
-            " --array " + std::to_string(opt.array) + " (" +
-            opt.workload + ")";
-        return runSpec(spec, opt.benchJson, label);
-    }
+    validateReplayFlags(opt);
 
     ssd::Config cfg =
         opt.paperGeometry ? ssd::Config::paper() : ssd::Config::small();
@@ -976,7 +584,7 @@ realMain(int argc, char **argv)
         const double wall = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
-        bench_runs.push_back(benchRunFrom(name, st, wall));
+        bench_runs.push_back(host::benchRunFrom(name, st, wall));
         if (baseline == 0.0)
             baseline = st.avgResponseUs;
         std::printf("%-16s %10.1f %10.1f %10.1f %10.1f %10.1f %8.2f "
