@@ -17,6 +17,20 @@ makeId(std::uint32_t gen, std::uint32_t slot)
     return (static_cast<std::uint64_t>(gen) << kSlotBits) | slot;
 }
 
+/** Counts a run()/step() as in progress for its lifetime, including
+ *  when a callback's panic unwinds through it. */
+class DrainScope
+{
+  public:
+    explicit DrainScope(std::uint32_t &depth) : depth_(depth) { ++depth_; }
+    ~DrainScope() { --depth_; }
+    DrainScope(const DrainScope &) = delete;
+    DrainScope &operator=(const DrainScope &) = delete;
+
+  private:
+    std::uint32_t &depth_;
+};
+
 } // namespace
 
 void
@@ -28,7 +42,7 @@ EventQueue::reserve(std::size_t events)
 }
 
 std::uint32_t
-EventQueue::allocSlot(Callback cb)
+EventQueue::allocSlot(Callback &&cb)
 {
     std::uint32_t idx;
     if (!free_slots_.empty()) {
@@ -116,22 +130,27 @@ EventQueue::heapPop()
 }
 
 EventId
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::push(Tick when, std::uint64_t seq, Callback &&cb)
 {
     SSDRR_ASSERT(when >= now_, "scheduling into the past: when=", when,
                  " now=", now_);
     SSDRR_ASSERT(cb, "scheduling a null callback");
     const std::uint32_t slot = allocSlot(std::move(cb));
     const EventId id = makeId(slots_[slot].gen, slot);
-    heapPush(HeapEntry{when, next_seq_++, slot});
+    heapPush(HeapEntry{when, seq, slot});
     ++pending_;
     return id;
 }
 
 EventId
-EventQueue::scheduleAfter(Tick delay, Callback cb)
+EventQueue::scheduleReserved(Tick when, std::uint64_t seq, Callback cb)
 {
-    return schedule(now_ + delay, std::move(cb));
+    SSDRR_ASSERT(seq > 0 && seq < next_seq_,
+                 "scheduling with an unreserved sequence number ", seq);
+    SSDRR_ASSERT(drain_depth_ == 0 || when != now_,
+                 "reserved entry onto the tick being drained: when=",
+                 when);
+    return push(when, seq, std::move(cb));
 }
 
 EventId
@@ -250,6 +269,7 @@ EventQueue::run(Tick until)
     // exact pop-one-at-a-time order; callbacks that cancel a not-yet-
     // run same-tick event are honored by executeEntry()'s slot-state
     // re-check.
+    const DrainScope draining(drain_depth_);
     while (true) {
         // Cancelled entries surface only while popping; re-establish
         // the pending-root invariant before reading the clock so a
@@ -297,7 +317,10 @@ EventQueue::step()
     }
     const HeapEntry e = heapPop();
     now_ = e.when;
-    executeEntry(e);
+    {
+        const DrainScope draining(drain_depth_);
+        executeEntry(e);
+    }
     pruneCancelledTop();
     return true;
 }

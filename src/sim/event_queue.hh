@@ -26,6 +26,11 @@
  *    paying a probe + pop + horizon re-check per event. Same-tick
  *    producers additionally collapse whole bursts into one heap
  *    entry via scheduleBatch().
+ *  - The heap holds only what is near: a producer with a long,
+ *    already-ordered stream (trace replay) reserves the stream's
+ *    sequence numbers up front with reserveSeqs() and pushes each
+ *    item with scheduleReserved() shortly before it is due, so the
+ *    heap stays shallow and the (tick, seq) order is unchanged.
  *  - Cancelled entries are pruned off the heap root eagerly (by
  *    cancel() itself and by the run/step loops), never left for a
  *    reader to clean up, so nextPendingTick() is a pure O(1) probe —
@@ -45,17 +50,18 @@
  *    onto another domain's queue.
  *
  * Determinism contract: events execute in (tick, seq) order, where
- * seq is the queue-local scheduling order. Any run that performs the
- * same schedule() calls in the same order executes callbacks in the
- * same order — this, plus the executor's sorted mailbox delivery, is
- * what makes multi-threaded runs bit-identical to single-threaded
- * ones.
+ * seq is the queue-local scheduling (or reservation) order. Any run
+ * that performs the same schedule() and reserveSeqs() calls in the
+ * same order executes callbacks in the same order — this, plus the
+ * executor's sorted mailbox delivery, is what makes multi-threaded
+ * runs bit-identical to single-threaded ones.
  */
 
 #ifndef SSDRR_SIM_EVENT_QUEUE_HH
 #define SSDRR_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -86,10 +92,48 @@ class EventQueue
      * Schedule @p cb at absolute time @p when (must be >= now()).
      * @return handle usable with cancel().
      */
-    EventId schedule(Tick when, Callback cb);
+    EventId
+    schedule(Tick when, Callback cb)
+    {
+        return push(when, next_seq_++, std::move(cb));
+    }
 
     /** Schedule @p cb at now() + @p delay. */
-    EventId scheduleAfter(Tick delay, Callback cb);
+    EventId
+    scheduleAfter(Tick delay, Callback cb)
+    {
+        return push(now_ + delay, next_seq_++, std::move(cb));
+    }
+
+    /**
+     * Reserve @p n consecutive sequence numbers for later
+     * scheduleReserved() calls.
+     * @return the first of them; the block is [first, first + n).
+     */
+    std::uint64_t
+    reserveSeqs(std::uint64_t n)
+    {
+        const std::uint64_t first = next_seq_;
+        next_seq_ += n;
+        return first;
+    }
+
+    /**
+     * Schedule @p cb at @p when with the reserved sequence number
+     * @p seq, so it ties with same-tick events exactly as if it had
+     * been scheduled at the moment @p seq was reserved: it runs after
+     * events scheduled before the reservation and before every event
+     * scheduled after it. This lets a producer hold back work that
+     * is already ordered (a trace's later arrivals) and push it onto
+     * the heap only when it is close, without changing the execution
+     * order. Entries may be pushed in any order.
+     *
+     * Panics if @p seq was never reserved, or if @p when is the tick
+     * a running callback is draining: that tick's entries have been
+     * extracted already, so a reserved (smaller) sequence number
+     * could no longer run in order.
+     */
+    EventId scheduleReserved(Tick when, std::uint64_t seq, Callback cb);
 
     /**
      * Schedule a batch of callbacks at absolute time @p when (must be
@@ -206,7 +250,11 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    std::uint32_t allocSlot(Callback cb);
+    /** The one out-of-line insertion path behind schedule(),
+     *  scheduleAfter() and scheduleReserved(); allocSlot() and
+     *  heapPush() have no other caller, so they inline into it. */
+    EventId push(Tick when, std::uint64_t seq, Callback &&cb);
+    std::uint32_t allocSlot(Callback &&cb);
     void freeSlot(std::uint32_t idx);
     void heapPush(HeapEntry e);
     HeapEntry heapPop();
@@ -219,6 +267,9 @@ class EventQueue
 
     Tick now_ = 0;
     std::uint64_t next_seq_ = 1;
+    /** run()/step() calls in progress: nonzero while a callback
+     *  executes, i.e. while now() is the tick being drained. */
+    std::uint32_t drain_depth_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t pending_ = 0;
     std::vector<HeapEntry> heap_;

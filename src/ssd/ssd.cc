@@ -286,41 +286,54 @@ Ssd::replay(const workload::Trace &trace)
 {
     precondition();
 
-    // Rebase arrivals to the current simulated time so a second
-    // replay on a warmed-up SSD continues instead of scheduling into
-    // the past.
-    const sim::Tick base = eq_.now();
-    std::uint64_t next_id = 1;
     const auto &records = trace.records();
-    // Runs of records sharing an arrival tick (bursty traces, fused
-    // multi-stream captures) become one batched heap event; grouping
-    // only *consecutive* records preserves the per-tick submit order
-    // of an out-of-order trace, since a later run at the same tick
-    // still carries a later sequence number.
-    std::vector<sim::InlineCallback> burst;
-    for (std::size_t i = 0; i < records.size();) {
-        const sim::Tick when = base + records[i].arrival;
-        std::size_t j = i;
-        do {
-            const auto &rec = records[j];
-            HostRequest req;
-            req.id = next_id++;
-            req.arrival = when;
-            req.lpn = rec.lpn;
-            req.pages = rec.pages;
-            req.isRead = rec.isRead;
-            SSDRR_ASSERT(req.lpn + req.pages <= ftl_.logicalPages(),
-                         "trace touches LPNs beyond the SSD capacity");
-            burst.emplace_back([this, req] { submit(req); });
-            ++j;
-        } while (j < records.size() &&
-                 base + records[j].arrival == when);
-        eq_.scheduleBatch(when, std::move(burst));
-        burst.clear();
-        i = j;
+    for (const workload::TraceRecord &rec : records)
+        SSDRR_ASSERT(rec.lpn + rec.pages <= ftl_.logicalPages(),
+                     "trace touches LPNs beyond the SSD capacity");
+    if (!records.empty()) {
+        // Arrivals are rebased to the current simulated time, so a
+        // second replay on a warmed-up SSD continues instead of
+        // scheduling into the past. Record i runs under sequence
+        // number seq0 + i, the key scheduling the whole trace up
+        // front would have given it, so pushing it onto the heap
+        // only one burst ahead changes no tie: at any tick, arrivals
+        // still run before the work scheduled while the trace plays.
+        scheduleReplayBurst(records, 0, eq_.now(),
+                            eq_.reserveSeqs(records.size()));
     }
     drain();
     return stats();
+}
+
+void
+Ssd::scheduleReplayBurst(const std::vector<workload::TraceRecord> &records,
+                         std::size_t first, sim::Tick base,
+                         std::uint64_t seq0)
+{
+    const sim::Tick arrival = records[first].arrival;
+    std::size_t end = first + 1;
+    while (end < records.size() && records[end].arrival == arrival)
+        ++end;
+    for (std::size_t i = first; i < end; ++i) {
+        // The burst's first record pushes the next burst, which
+        // arrives strictly later (Trace arrivals are non-decreasing),
+        // so it never lands on the tick being drained.
+        const std::size_t next = i == first ? end : records.size();
+        eq_.scheduleReserved(
+            base + arrival, seq0 + i,
+            [this, &records, i, next, base, seq0] {
+                if (next < records.size())
+                    scheduleReplayBurst(records, next, base, seq0);
+                const workload::TraceRecord &rec = records[i];
+                HostRequest req;
+                req.id = i + 1;
+                req.arrival = base + rec.arrival;
+                req.lpn = rec.lpn;
+                req.pages = rec.pages;
+                req.isRead = rec.isRead;
+                submit(req);
+            });
+    }
 }
 
 sim::Histogram

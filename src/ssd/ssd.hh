@@ -268,9 +268,18 @@ class Ssd
     void submit(const HostRequest &req);
 
     /**
-     * Replay a whole trace: schedules every record at its arrival
-     * time, runs the event loop to completion, and returns the run
-     * summary.
+     * Replay a whole trace: submits every record at its arrival time
+     * (rebased to now()), runs the event loop to completion, and
+     * returns the run summary. Request ids are record index + 1.
+     *
+     * Every record's LPN range is checked before any event runs. The
+     * event queue holds only the next arrival burst (the records that
+     * share one arrival tick), not the whole trace, yet events run in
+     * exactly the order that scheduling every record up front would
+     * give: same-tick arrivals run in trace order, ahead of
+     * completions due at that tick. The queued bursts read
+     * @p trace, so if a panic escapes replay() the drive must not be
+     * run again.
      */
     RunStats replay(const workload::Trace &trace);
 
@@ -318,6 +327,11 @@ class Ssd
     void buildWriteTxn(ftl::Lpn lpn, std::uint64_t host_id,
                        std::uint32_t channel_mask);
     void scheduleGc(std::vector<ftl::GcWork> work);
+    /** Push the replay burst that starts at @p records[first] onto
+     *  the queue under sequence numbers @p seq0 + index. */
+    void scheduleReplayBurst(const std::vector<workload::TraceRecord> &records,
+                             std::size_t first, sim::Tick base,
+                             std::uint64_t seq0);
     void finishHostPage(std::uint64_t host_id);
     Txn txnFor(const ftl::Ppn &ppn);
 

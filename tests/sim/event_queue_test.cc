@@ -477,6 +477,79 @@ TEST(EventQueue, StressBatchedMatchesUnbatched)
     EXPECT_GT(batched.executed, 0u);
 }
 
+TEST(EventQueue, ReservedSeqRunsBeforeLaterScheduledSameTickEvent)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&order] { order.push_back(0); });
+    const std::uint64_t seq = eq.reserveSeqs(1);
+    eq.schedule(10, [&order] { order.push_back(3); });
+    // Pushed last, from a callback at an earlier tick, yet it ties
+    // as if it had been scheduled when its number was reserved.
+    eq.schedule(5, [&] {
+        eq.schedule(10, [&order] { order.push_back(4); });
+        eq.scheduleReserved(10, seq, [&order] { order.push_back(1); });
+        order.push_back(-1);
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 3, 4}));
+    EXPECT_EQ(eq.executedEvents(), 5u);
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, OutOfOrderReservedEntriesRunInSeqOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const std::uint64_t seq0 = eq.reserveSeqs(6);
+    eq.schedule(20, [&order] { order.push_back(9); });
+    for (const int i : {3, 0, 4, 1, 2})
+        eq.scheduleReserved(20, seq0 + i, [&order, i] {
+            order.push_back(i);
+        });
+    // The tick still decides first: the largest reserved number at
+    // an earlier tick runs before all of them.
+    eq.scheduleReserved(15, seq0 + 5, [&order] { order.push_back(5); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{5, 0, 1, 2, 3, 4, 9}));
+    EXPECT_EQ(eq.executedEvents(), 7u);
+}
+
+TEST(EventQueuePanic, UnreservedSeqPanics)
+{
+    EventQueue eq;
+    const std::uint64_t seq0 = eq.reserveSeqs(2);
+    EXPECT_THROW(eq.scheduleReserved(10, seq0 + 2, [] {}),
+                 std::logic_error);
+    EXPECT_THROW(eq.scheduleReserved(10, 0, [] {}), std::logic_error);
+    EXPECT_EQ(eq.pending(), 0u);
+    eq.scheduleReserved(10, seq0 + 1, [] {});
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
+TEST(EventQueuePanic, ReservedEntryOntoDrainingTickPanics)
+{
+    EventQueue eq;
+    const std::uint64_t seq = eq.reserveSeqs(1);
+    // Tick 10's entries are extracted before this callback runs; a
+    // reserved (smaller) sequence number can no longer run in order.
+    eq.schedule(10, [&eq, seq] { eq.scheduleReserved(10, seq, [] {}); });
+    EXPECT_THROW(eq.run(), std::logic_error);
+
+    // Outside run() the tick is not being drained: now() is legal,
+    // and so is any later tick from inside a callback.
+    std::vector<int> order;
+    const std::uint64_t more = eq.reserveSeqs(2);
+    eq.scheduleReserved(eq.now(), more, [&] {
+        order.push_back(0);
+        eq.scheduleReserved(11, more + 1,
+                            [&order] { order.push_back(1); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(eq.now(), 11u);
+}
+
 TEST(EventQueuePanic, SchedulingIntoThePastPanics)
 {
     EventQueue eq;
