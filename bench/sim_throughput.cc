@@ -9,10 +9,11 @@
  * deterministic simulation results are digested so a perf change that
  * silently alters what is simulated fails CI.
  *
- * A second section measures the sharded per-drive engine: a 4-drive
- * saturation scenario (8 closed-loop tenants, 32 device slots per
- * drive, 50 us host link, profile cache disabled so every read pays
- * the full model math) run with 1 and with 4 worker threads. The
+ * A second section measures the sharded per-drive (fabric) engine,
+ * driven by a host-link turnaround: a 4-drive saturation scenario
+ * (8 closed-loop tenants, 32 device slots per drive, 50 us host
+ * link, profile cache disabled so every read pays the full model
+ * math) run with 1 and with 4 worker threads. The
  * two runs' deterministic results MUST be bit-identical — the bench
  * exits non-zero if they diverge — and the wall-clock ratio is the
  * parallel speedup (recorded as the par4d-1t / par4d-4t entries of
@@ -334,7 +335,8 @@ measureFault(core::Mechanism mech, FaultMode mode,
 /**
  * Storage-fabric section: the raid0 tail shape on a 4-drive array,
  * per mechanism, in three cablings. "flat" gives every drive its own
- * host link (the fabric equivalent of the flat hostLink engine);
+ * host link (what hostLinkUs compiles to, plus a serialization
+ * charge and reported links);
  * "tree" routes pairs of drives through two top-of-rack switches at
  * the same per-link cost; "oversub" is the same tree with the two
  * uplinks' serialization charge raised 16x, so concurrent

@@ -72,10 +72,6 @@ void
 Fabric::route(const std::vector<Seg> &segs, std::size_t idx,
               std::uint64_t bytes, bool read, sim::InlineCallback done)
 {
-    if (idx == segs.size()) {
-        done();
-        return;
-    }
     const Seg &seg = segs[idx];
     const Topology::Link &link = topo_.links()[seg.link];
     const Port &from = ports_[seg.fromNode];
@@ -101,7 +97,14 @@ Fabric::route(const std::vector<Seg> &segs, std::size_t idx,
         st.readWait += start - now;
 
     const sim::Tick deliver = start + ser + link.latency;
-    exec_.send(from.dom, ports_[seg.toNode].dom, deliver,
+    const sim::ParallelExecutor::DomainId to = ports_[seg.toNode].dom;
+    if (idx + 1 == segs.size()) {
+        // Last hop: deliver @p done itself. Wrapping it in another
+        // hop step would overflow the callback's inline buffer.
+        exec_.send(from.dom, to, deliver, std::move(done));
+        return;
+    }
+    exec_.send(from.dom, to, deliver,
                [this, &segs, idx, bytes, read,
                 done = std::move(done)]() mutable {
                    route(segs, idx + 1, bytes, read, std::move(done));

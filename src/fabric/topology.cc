@@ -351,6 +351,24 @@ Topology::compile(const TopologySpec &spec, std::uint32_t driveCount)
     return t;
 }
 
+Topology
+Topology::flat(std::uint32_t driveCount, sim::Tick latency)
+{
+    SSDRR_ASSERT(latency >= 1, "flat fabric link latency must be at "
+                               "least one tick");
+    Topology t;
+    t.nodes_.push_back({"host0", Kind::Host});
+    t.min_latency_ = latency;
+    for (std::uint32_t d = 0; d < driveCount; ++d) {
+        const std::uint32_t node = d + 1;
+        t.nodes_.push_back({"d" + std::to_string(d), Kind::Drive});
+        t.links_.push_back({t.host_, node, latency, 0.0});
+        t.attach_.push_back(node);
+        t.paths_.push_back({Hop{d, true, node}});
+    }
+    return t;
+}
+
 std::vector<std::string>
 Topology::pathNames(std::uint32_t d) const
 {

@@ -80,7 +80,7 @@ struct TopologySpec {
     /** Drive attachment map: array drive index -> node name. */
     std::vector<std::string> drives;
 
-    /** True when no fabric was declared (flat-link engine applies). */
+    /** True when no fabric was declared (host.hostLinkUs applies). */
     bool empty() const { return nodes.empty() && links.empty() &&
                                 drives.empty(); }
 
@@ -149,6 +149,14 @@ class Topology
      */
     static Topology compile(const TopologySpec &spec,
                             std::uint32_t driveCount);
+
+    /**
+     * One host port "host0" linked directly to each of @p driveCount
+     * drives "d0".."dN-1", every link exactly @p latency ticks (>= 1)
+     * with no serialization charge. Built in ticks, so no latency is
+     * lost to the microsecond round trip a LinkSpec would impose.
+     */
+    static Topology flat(std::uint32_t driveCount, sim::Tick latency);
 
     const std::vector<Node> &nodes() const { return nodes_; }
     const std::vector<Link> &links() const { return links_; }

@@ -5,13 +5,10 @@
 namespace ssdrr::host {
 
 SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
-                   std::uint32_t drives, sim::Tick host_link,
-                   std::uint32_t threads)
+                   std::uint32_t drives)
     : SsdArray(cfg, mech, [&] {
           Options opt;
           opt.drives = drives;
-          opt.hostLink = host_link;
-          opt.threads = threads;
           return opt;
       }())
 {
@@ -19,7 +16,7 @@ SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
 
 SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
                    const Options &opt)
-    : mech_(mech), link_(opt.hostLink),
+    : mech_(mech),
       layout_(makeArrayLayout(opt.raid, opt.drives,
                               opt.stripeUnitPages, opt.failedDrives)),
       timeout_(opt.timeout), retry_max_(opt.retryMax),
@@ -46,27 +43,27 @@ SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
                          [this, d] { onDriveDetected(d); });
         }
     }
-    if (!opt.fabric.empty()) {
-        // Fabric engine: same sharded machinery, but crossings are
-        // routed hop-by-hop. The conservative window is the cheapest
-        // link's latency — no hop can deliver faster than that.
-        SSDRR_ASSERT(link_ == 0,
+    if (!opt.fabric.empty() || opt.hostLink > 0) {
+        // Fabric engine. A host-link turnaround is a flat fabric of
+        // one unreported host0->dN hop per drive, built in ticks so
+        // no latency is lost to a microsecond round trip. The
+        // conservative window is the cheapest link's latency — no
+        // hop can deliver faster than that.
+        SSDRR_ASSERT(opt.fabric.empty() || opt.hostLink == 0,
                      "fabric and hostLink are mutually exclusive");
+        report_links_ = !opt.fabric.empty();
         fabric::Topology topo =
-            fabric::Topology::compile(opt.fabric, opt.drives);
+            report_links_
+                ? fabric::Topology::compile(opt.fabric, opt.drives)
+                : fabric::Topology::flat(opt.drives, opt.hostLink);
         exec_ = std::make_unique<sim::ParallelExecutor>(
             topo.minLinkLatency(), opt.threads == 0 ? 1 : opt.threads,
             opt.batchMailbox);
-        host_dom_ = exec_->addDomain(eq_);
+        const sim::ParallelExecutor::DomainId host_dom =
+            exec_->addDomain(eq_);
         // Registers the switch domains, in node-declaration order.
         fabric_ = std::make_unique<fabric::Fabric>(std::move(topo),
-                                                   *exec_, host_dom_,
-                                                   eq_);
-    } else if (link_ > 0) {
-        exec_ = std::make_unique<sim::ParallelExecutor>(
-            link_, opt.threads == 0 ? 1 : opt.threads,
-            opt.batchMailbox);
-        host_dom_ = exec_->addDomain(eq_);
+                                                   *exec_, host_dom, eq_);
     }
     for (std::uint32_t d = 0; d < opt.drives; ++d) {
         ssd::Config dc = cfg;
@@ -74,16 +71,13 @@ SsdArray::SsdArray(const ssd::Config &cfg, core::Mechanism mech,
         // patterns, and identical seeds would correlate retry storms
         // across the stripe.
         dc.seed = cfg.seed + d * 0x9e3779b9ull;
-        if (exec_) {
-            // Sharded engine: the drive owns a private queue; the
-            // executor synchronizes it against the host at
-            // host-link-wide windows.
+        if (fabric_) {
+            // The drive owns a private queue; the executor
+            // synchronizes it against the other domains at
+            // link-latency-wide windows.
             ssds_.push_back(std::make_unique<ssd::Ssd>(dc, mech));
-            drive_dom_.push_back(
-                exec_->addDomain(ssds_.back()->eventQueue()));
-            if (fabric_)
-                fabric_->attachDrive(d, drive_dom_.back(),
-                                     ssds_.back()->eventQueue());
+            sim::EventQueue &q = ssds_.back()->eventQueue();
+            fabric_->attachDrive(d, exec_->addDomain(q), q);
             ssds_.back()->onHostComplete(
                 [this, d](const ssd::HostCompletion &c) {
                     driveComplete(d, c);
@@ -110,35 +104,24 @@ SsdArray::precondition()
 void
 SsdArray::dispatch(std::uint32_t d, const ssd::HostRequest &sub)
 {
-    if (!exec_) {
+    if (!fabric_) {
         ssds_[d]->submit(sub);
         return;
     }
-    if (fabric_) {
-        // Fabric mode: the command rides the precomputed path to the
-        // drive's port, contending for every shared hop. Writes
-        // serialize their payload on the way down; read commands are
-        // latency-only. The drive accounts its device-side latency
-        // from the (contention-dependent) delivery tick.
-        const std::uint64_t bytes =
-            sub.isRead ? 0
-                       : static_cast<std::uint64_t>(sub.pages) *
-                             pageBytes();
-        ssd::HostRequest delivered = sub;
-        fabric_->toDrive(
-            d, bytes, sub.isRead, [this, d, delivered]() mutable {
-                delivered.arrival = ssds_[d]->eventQueue().now();
-                ssds_[d]->submit(delivered);
-            });
-        return;
-    }
-    // Sharded mode: the command crosses the host link. The drive
-    // sees it — and accounts its device-side latency from — the
+    // The command rides the precomputed path to the drive's port,
+    // contending for every shared hop. Writes serialize their payload
+    // on the way down; read commands are latency-only. The drive
+    // accounts its device-side latency from the (contention-dependent)
     // delivery tick.
+    const std::uint64_t bytes =
+        sub.isRead ? 0
+                   : static_cast<std::uint64_t>(sub.pages) * pageBytes();
     ssd::HostRequest delivered = sub;
-    delivered.arrival = eq_.now() + link_;
-    exec_->send(host_dom_, drive_dom_[d], delivered.arrival,
-                [this, d, delivered] { ssds_[d]->submit(delivered); });
+    fabric_->toDrive(d, bytes, sub.isRead,
+                     [this, d, delivered]() mutable {
+                         delivered.arrival = ssds_[d]->eventQueue().now();
+                         ssds_[d]->submit(delivered);
+                     });
 }
 
 void
@@ -222,24 +205,14 @@ void
 SsdArray::driveComplete(std::uint32_t d, const ssd::HostCompletion &c)
 {
     // Runs on the drive's worker thread, inside the drive's window.
-    // Ship the completion across the host link; subComplete then
-    // executes on the host domain at the delivery tick. Uses only
-    // the completion record and immutable config — host-side maps
-    // stay host-domain-confined.
-    if (fabric_) {
-        // Read completions carry the page payload back up the tree;
-        // write acknowledgements are latency-only.
-        const std::uint64_t bytes =
-            c.isRead ? static_cast<std::uint64_t>(c.pages) *
-                           pageBytes()
-                     : 0;
-        fabric_->toHost(d, bytes, c.isRead,
-                        [this, c] { subComplete(c); });
-        return;
-    }
-    exec_->send(drive_dom_[d], host_dom_,
-                ssds_[d]->eventQueue().now() + link_,
-                [this, c] { subComplete(c); });
+    // Route the completion up the fabric; subComplete then executes
+    // on the host domain at the delivery tick. Uses only the
+    // completion record and immutable config — host-side maps stay
+    // host-domain-confined. Read completions carry the page payload
+    // back up the tree; write acknowledgements are latency-only.
+    const std::uint64_t bytes =
+        c.isRead ? static_cast<std::uint64_t>(c.pages) * pageBytes() : 0;
+    fabric_->toHost(d, bytes, c.isRead, [this, c] { subComplete(c); });
 }
 
 void
@@ -488,8 +461,8 @@ ssd::RunStats
 SsdArray::stats() const
 {
     ssd::RunStats s;
-    // Legacy: one shared queue, counted once. Sharded: the host
-    // queue plus every drive's private queue.
+    // Shared queue: counted once. Fabric: the host queue plus every
+    // drive's private queue (switch queues are added below).
     s.executedEvents = eq_.executedEvents();
     for (const auto &d : ssds_) {
         const ssd::RunStats ds = d->stats();
@@ -522,11 +495,11 @@ SsdArray::stats() const
         s.executorWindowsSkipped = exec_->windowsSkipped();
         s.executorParks = exec_->parks();
         s.executorSpins = exec_->spins();
-    }
-    if (fabric_) {
         // Switch queues drove the run too; their events count like
         // the host's and the drives'.
         s.executedEvents += fabric_->switchExecutedEvents();
+    }
+    if (report_links_) {
         for (const fabric::LinkReport &r : fabric_->linkReports()) {
             ssd::RunStats::FabricLinkStats ls;
             ls.link = r.link;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Array of SSDs behind a pluggable address layout, on one shared
- * timeline or sharded across worker threads.
+ * timeline or behind a storage fabric sharded across worker threads.
  *
  * The array exports a single flat logical space whose size and
  * placement are owned by a host::ArrayLayout (array_layout.hh):
@@ -21,28 +21,25 @@
  * end-to-end latency. Degraded reads are additionally recorded in a
  * per-class histogram surfaced through RunStats.
  *
- * Execution engines (selected by the host-link turnaround):
- *  - hostLink == 0 (default): all drives and the host side share one
- *    sim::EventQueue and dispatch/completions are synchronous calls,
- *    exactly the original single-threaded engine. Bit-compatible
- *    with every pre-existing result.
- *  - hostLink > 0: each drive owns a private EventQueue and the host
- *    side keeps its own; dispatches reach a drive hostLink ticks
- *    after the host issues them and completions reach the host
- *    hostLink ticks after the drive raises them (modelling the
- *    PCIe/NVMe doorbell-fetch/interrupt turnaround). Cross-queue
- *    traffic flows through sim::ParallelExecutor mailboxes with
- *    window width hostLink, so the drives simulate concurrently on
- *    `threads` workers — and, by the executor's determinism
- *    contract, produce bit-identical results for ANY thread count,
- *    including 1.
- *  - Options::fabric non-empty (mutually exclusive with hostLink):
- *    the sharded engine again, but dispatch/completion crossings are
- *    routed hop-by-hop through a fabric::Fabric — a tree of switches
- *    and links with per-hop latency, byte-proportional serialization,
- *    and FIFO contention (see fabric/fabric.hh). Every switch is its
- *    own executor domain; the window is the topology's minimum link
- *    latency, so worker-count invariance carries over unchanged.
+ * Execution engines:
+ *  - shared queue (default: no fabric, hostLink == 0): all drives
+ *    and the host side share one sim::EventQueue and dispatch/
+ *    completions are synchronous calls, exactly the original
+ *    single-threaded engine.
+ *  - fabric (Options::fabric non-empty, or hostLink > 0): the host,
+ *    every switch and every drive own a private EventQueue, each its
+ *    own sim::ParallelExecutor domain, and dispatch/completion
+ *    crossings are routed hop-by-hop through a fabric::Fabric — a
+ *    tree of links with per-hop latency, byte-proportional
+ *    serialization and FIFO contention (see fabric/fabric.hh). The
+ *    window is the topology's minimum link latency, so the drives
+ *    simulate concurrently on `threads` workers and, by the
+ *    executor's determinism contract, produce bit-identical results
+ *    for ANY thread count, including 1. A hostLink turnaround is
+ *    sugar for a flat fabric: one host0->dN link per drive of
+ *    exactly hostLink ticks with no serialization charge (modelling
+ *    the PCIe/NVMe doorbell-fetch/interrupt turnaround). Its links
+ *    never queue and are not reported in RunStats.
  *
  * Robustness (Options::faults / timeout / retry): a declared
  * sim::FaultInjector timeline makes drives fail-stop, fail-slow, or
@@ -98,14 +95,15 @@ class SsdArray
         /** Failed member drives (degraded mode); must respect the
          *  layout's fault tolerance. */
         std::vector<std::uint32_t> failedDrives;
-        /** Host dispatch/completion turnaround in ticks; 0 keeps the
-         *  legacy shared-queue engine, > 0 selects the windowed
-         *  per-drive engine (see file comment). */
+        /** Host dispatch/completion turnaround in ticks. > 0 runs the
+         *  fabric engine over a flat one-hop topology of this latency
+         *  whose links are not reported (see file comment); 0 with no
+         *  fabric keeps the shared-queue engine. */
         sim::Tick hostLink = 0;
-        /** Worker threads for the windowed engine (ignored by the
-         *  legacy shared-queue engine; results do not depend on it). */
+        /** Worker threads for the fabric engine (ignored by the
+         *  shared-queue engine; results do not depend on it). */
         std::uint32_t threads = 1;
-        /** Doorbell batching for the windowed engine: coalesce
+        /** Doorbell batching for the fabric engine: coalesce
          *  mailbox crossings sharing a (receiver, delivery tick)
          *  into one heap event at the window barrier. Bit-identical
          *  to unbatched delivery (see sim::ParallelExecutor); off
@@ -113,7 +111,7 @@ class SsdArray
         bool batchMailbox = true;
         /** Fabric topology routing dispatch/completion crossings
          *  hop-by-hop (empty = no fabric). Non-empty selects the
-         *  windowed per-drive engine and excludes hostLink. */
+         *  fabric engine and excludes hostLink. */
         fabric::TopologySpec fabric;
         /** Fault timeline injected at the host boundary (empty =
          *  faultless, bit-identical to an array without the
@@ -143,13 +141,13 @@ class SsdArray
     SsdArray(const ssd::Config &cfg, core::Mechanism mech,
              const Options &opt);
 
-    /** Legacy convenience: RAID-0 with @p drives members. */
+    /** Convenience: shared-queue RAID-0 with @p drives members. */
     SsdArray(const ssd::Config &cfg, core::Mechanism mech,
-             std::uint32_t drives, sim::Tick host_link = 0,
-             std::uint32_t threads = 1);
+             std::uint32_t drives);
 
-    /** Host-side event queue (the shared queue in legacy mode). All
-     *  host-layer actors (tenants, HostInterface) schedule here. */
+    /** Host-side event queue (shared with the drives on the
+     *  shared-queue engine). All host-layer actors (tenants,
+     *  HostInterface) schedule here. */
     sim::EventQueue &eventQueue() { return eq_; }
     std::uint32_t drives() const
     {
@@ -157,12 +155,6 @@ class SsdArray
     }
     ssd::Ssd &drive(std::uint32_t i) { return *ssds_.at(i); }
     core::Mechanism mechanism() const { return mech_; }
-    /** Host-link turnaround in ticks (0 = legacy shared queue). */
-    sim::Tick hostLink() const { return link_; }
-    /** True when drives run on private queues behind mailboxes. */
-    bool sharded() const { return exec_ != nullptr; }
-    /** The fabric transport, or null for flat-link / legacy modes. */
-    const fabric::Fabric *fabric() const { return fabric_.get(); }
     /** The address layout mapping the flat space onto drives. */
     const ArrayLayout &layout() const { return *layout_; }
 
@@ -229,8 +221,8 @@ class SsdArray
      * summed across drives and utilizations averaged over them.
      * Degraded reads, reconstruction subreads, and parity writes are
      * array-level layout accounting. executedEvents covers every
-     * queue that drove the run (the one shared queue, or host +
-     * per-drive queues summed).
+     * queue that drove the run (the one shared queue, or the host,
+     * switch and per-drive queues summed).
      */
     ssd::RunStats stats() const;
 
@@ -282,8 +274,8 @@ class SsdArray
                   const ArrayLayout::SubOp &op,
                   std::uint32_t attempt = 1);
     void subComplete(const ssd::HostCompletion &c);
-    /** Drive-side completion hook in sharded mode: forward to the
-     *  host domain with the completion turnaround applied. */
+    /** Drive-side completion hook on the fabric engine: route the
+     *  completion back to the host domain. */
     void driveComplete(std::uint32_t d, const ssd::HostCompletion &c);
     void dispatch(std::uint32_t d, const ssd::HostRequest &sub);
     /** One subrequest slot of @p parent_id finished (completed,
@@ -303,19 +295,19 @@ class SsdArray
         return (dead_mask_ >> d) & 1u;
     }
 
-    sim::EventQueue eq_; ///< host-side queue (shared queue in legacy)
+    sim::EventQueue eq_; ///< host-side queue (the shared queue)
     core::Mechanism mech_;
-    sim::Tick link_ = 0;
     std::unique_ptr<ArrayLayout> layout_;
     std::vector<std::unique_ptr<ssd::Ssd>> ssds_;
     std::uint64_t logical_pages_ = 0;
 
-    /** Windowed engine (sharded mode only). Domain 0 is the host. */
+    /** Fabric engine (null on the shared queue). Domain 0 is the
+     *  host. */
     std::unique_ptr<sim::ParallelExecutor> exec_;
-    sim::ParallelExecutor::DomainId host_dom_ = 0;
-    std::vector<sim::ParallelExecutor::DomainId> drive_dom_;
-    /** Fabric transport (sharded mode with a topology only). */
     std::unique_ptr<fabric::Fabric> fabric_;
+    /** False for the flat fabric a hostLink turnaround compiles to:
+     *  its links stay out of RunStats. */
+    bool report_links_ = false;
 
     std::unordered_map<std::uint64_t, SubState> subs_;
     std::unordered_map<std::uint64_t, Parent> parents_;

@@ -102,20 +102,19 @@ struct ScenarioConfig {
     double transferUsPerKb = 0.0;
     /**
      * Host dispatch/completion turnaround in microseconds. 0 keeps
-     * the legacy synchronous coupling on one shared event queue;
-     * > 0 models the PCIe/NVMe doorbell/interrupt turnaround and
-     * runs drives on private queues behind host-link-wide
-     * synchronization windows (see host::SsdArray).
+     * the synchronous coupling on one shared event queue; > 0 models
+     * the PCIe/NVMe doorbell/interrupt turnaround as a flat one-hop
+     * fabric with unreported links (see host::SsdArray).
      */
     double hostLinkUs = 0.0;
     /**
-     * Worker threads for the windowed engine (needs hostLinkUs > 0
+     * Worker threads for the fabric engine (needs hostLinkUs > 0
      * or a fabric to matter). Results are bit-identical for any
      * value.
      */
     std::uint32_t threads = 1;
     /**
-     * Doorbell batching for the windowed engine: coalesce mailbox
+     * Doorbell batching for the fabric engine: coalesce mailbox
      * crossings that share a (receiver, delivery tick) into one heap
      * event per window barrier. Bit-identical to unbatched delivery
      * for any thread count (an engine tuning knob like threads, not
@@ -126,8 +125,8 @@ struct ScenarioConfig {
     /**
      * Storage-fabric topology routing dispatch/completion crossings
      * hop-by-hop with per-link contention (empty = no fabric).
-     * Mutually exclusive with hostLinkUs > 0; selects the windowed
-     * per-drive engine (see fabric/fabric.hh).
+     * Mutually exclusive with hostLinkUs > 0; selects the fabric
+     * engine (see fabric/fabric.hh).
      */
     fabric::TopologySpec fabric;
     /** Optional CSV parse cache shared across runScenario calls. */

@@ -128,12 +128,12 @@ struct ScenarioSpec {
      *  array.failedDrives. */
     std::vector<FaultSpec> faults;
     /**
-     * Worker threads for the sharded per-drive engine. 1 (default)
-     * runs everything on the calling thread; N > 1 simulates the
-     * drives concurrently and requires hostLinkUs > 0 or a fabric
-     * (the engine's synchronization window is the host-link
-     * turnaround / the fabric's cheapest link). 0 is sugar for "use
-     * the machine's hardware concurrency", resolved at toConfig()
+     * Worker threads for the fabric engine. 1 (default) runs
+     * everything on the calling thread; N > 1 simulates the drives
+     * concurrently and requires hostLinkUs > 0 or a fabric (the
+     * engine's synchronization window is the fabric's cheapest
+     * link, which for hostLinkUs is the turnaround). 0 is sugar for
+     * "use the machine's hardware concurrency", resolved at toConfig()
      * time — the spec keeps the literal 0 so it round-trips through
      * --dump-scenario machine-independently; it carries the same
      * link/fabric requirement as N > 1. Results are bit-identical
@@ -143,11 +143,10 @@ struct ScenarioSpec {
     // ----- storage fabric (JSON object "fabric") -----
     /**
      * Host<->drive interconnect topology: nodes, links, and the
-     * drive attachment map (see fabric/topology.hh). Empty (default)
-     * keeps the flat hostLinkUs coupling, bit-identical to the
-     * pre-fabric engine; non-empty routes every dispatch/completion
-     * hop-by-hop with per-link FIFO contention and excludes
-     * hostLinkUs > 0.
+     * drive attachment map (see fabric/topology.hh). Non-empty
+     * routes every dispatch/completion hop-by-hop with per-link FIFO
+     * contention, reports every link, and excludes hostLinkUs > 0.
+     * Empty (default) leaves the coupling to hostLinkUs.
      */
     fabric::TopologySpec fabric;
     // ----- host-interface options -----
@@ -172,10 +171,11 @@ struct ScenarioSpec {
     double retryBackoffUs = 100.0;
     /**
      * Host dispatch/completion turnaround in microseconds (the
-     * PCIe/NVMe doorbell-fetch and interrupt paths). 0 = legacy
-     * instantaneous coupling on one shared event queue; > 0 switches
-     * to per-drive event queues synchronized at host-link windows
-     * (and enables threads > 1).
+     * PCIe/NVMe doorbell-fetch and interrupt paths). 0 = instantaneous
+     * coupling on one shared event queue; > 0 is sugar for a flat
+     * fabric — one host0->dN link per drive of this latency with no
+     * serialization charge — whose links are not reported (and
+     * enables threads > 1).
      */
     double hostLinkUs = 0.0;
     /**

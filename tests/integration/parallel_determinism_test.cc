@@ -1,8 +1,8 @@
 /**
  * @file
- * Cross-thread determinism: the sharded per-drive engine
- * (host::SsdArray with hostLink > 0, sim::ParallelExecutor) must
- * produce bit-identical results for every worker count — the same
+ * Cross-thread determinism: the windowed fabric engine
+ * (host::SsdArray with a fabric or hostLink > 0, sim::ParallelExecutor)
+ * must produce bit-identical results for every worker count — the same
  * RunStats (including p50/p99/p99.9), the same per-tenant latency
  * distributions, and the same arbitration accounting with threads=4
  * as with threads=1. This is the acceptance oracle for the parallel
@@ -13,7 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "fabric/topology.hh"
 #include "host/scenario_spec.hh"
+#include "sim/types.hh"
 
 namespace ssdrr {
 namespace {
@@ -84,13 +88,15 @@ expectIdenticalFabricStats(const ssd::RunStats &a,
     }
 }
 
+/** Every RunStats field the thread-parity tests compare, except the
+ *  fabric's per-link rows and read wait. */
 void
-expectIdenticalArray(const ssd::RunStats &a, const ssd::RunStats &b)
+expectIdenticalArrayExceptFabric(const ssd::RunStats &a,
+                                 const ssd::RunStats &b)
 {
     expectIdenticalDegraded(a, b);
     expectIdenticalFilterStats(a, b);
     expectIdenticalFaultStats(a, b);
-    expectIdenticalFabricStats(a, b);
     // EXPECT_EQ on doubles is exact comparison, deliberately: a
     // cross-domain ordering leak would first show up as a 1-ULP
     // drift in a floating-point accumulation, which a tolerant
@@ -122,6 +128,13 @@ expectIdenticalArray(const ssd::RunStats &a, const ssd::RunStats &b)
 }
 
 void
+expectIdenticalArray(const ssd::RunStats &a, const ssd::RunStats &b)
+{
+    expectIdenticalArrayExceptFabric(a, b);
+    expectIdenticalFabricStats(a, b);
+}
+
+void
 expectIdenticalTenant(const host::TenantStats &a,
                       const host::TenantStats &b)
 {
@@ -141,16 +154,23 @@ expectIdenticalTenant(const host::TenantStats &a,
 }
 
 void
-expectIdenticalResult(const host::ScenarioResult &a,
-                      const host::ScenarioResult &b)
+expectIdenticalTenants(const host::ScenarioResult &a,
+                       const host::ScenarioResult &b)
 {
-    expectIdenticalArray(a.array, b.array);
     ASSERT_EQ(a.tenants.size(), b.tenants.size());
     for (std::size_t t = 0; t < a.tenants.size(); ++t) {
         SCOPED_TRACE("tenant " + a.tenants[t].name);
         expectIdenticalTenant(a.tenants[t], b.tenants[t]);
     }
     EXPECT_EQ(a.fetchedPerQueue, b.fetchedPerQueue);
+}
+
+void
+expectIdenticalResult(const host::ScenarioResult &a,
+                      const host::ScenarioResult &b)
+{
+    expectIdenticalArray(a.array, b.array);
+    expectIdenticalTenants(a, b);
 }
 
 /** 4-drive, 4-tenant mixed-QoS scenario on the sharded engine. */
@@ -626,8 +646,7 @@ TEST(ParallelDeterminism, DoorbellBatchingParityAcrossThreads)
 }
 
 /**
- * The fabric engine shares route() with the flat-link engine, so
- * batching applies to hop-by-hop switch traffic too — per-link
+ * Batching applies to hop-by-hop switch traffic too — per-link
  * counters and queueing must be unaffected.
  */
 TEST(ParallelDeterminism, DoorbellBatchingParityOnFabric)
@@ -641,6 +660,57 @@ TEST(ParallelDeterminism, DoorbellBatchingParityOnFabric)
         SCOPED_TRACE("threads 4");
         expectIdenticalResult(runFabric(4, /*batch_mailbox=*/false),
                               runFabric(4, /*batch_mailbox=*/true));
+    }
+}
+
+/**
+ * host.hostLinkUs is sugar for a flat fabric: one host0->dN link per
+ * drive at that latency with no serialization charge. The same
+ * 4-drive scenario run either way must agree on every statistic
+ * except the per-link rows and the read fabric wait, which the
+ * host-link form leaves unreported.
+ */
+host::ScenarioResult
+runFlatCoupling(double link_us, bool explicit_fabric)
+{
+    host::ScenarioSpec spec = fourDriveSpec();
+    spec.hostLinkUs = 0.0;
+    if (explicit_fabric) {
+        spec.fabric = fabric::makePreset("flat", spec.drives);
+        for (fabric::LinkSpec &l : spec.fabric.links) {
+            l.latencyUs = link_us;
+            l.usPerKb = 0.0;
+        }
+    } else {
+        spec.hostLinkUs = link_us;
+    }
+    spec.validate();
+    host::ScenarioConfig cfg = spec.toConfig(core::Mechanism::PnAR2);
+    cfg.threads = 2;
+    return host::runScenario(cfg);
+}
+
+TEST(ParallelDeterminism, HostLinkIsAFlatFabric)
+{
+    // 1.0015 us is 1001 ticks; a round trip through microseconds
+    // (sim::usec(sim::toUsec(1001))) would truncate it to 1000.
+    ASSERT_EQ(sim::usec(1.0015), 1001u);
+    ASSERT_EQ(sim::usec(sim::toUsec(1001)), 1000u);
+    for (double link_us : {10.0, 1.0015}) {
+        SCOPED_TRACE("link " + std::to_string(link_us) + " us");
+        const host::ScenarioResult link = runFlatCoupling(link_us, false);
+        const host::ScenarioResult flat = runFlatCoupling(link_us, true);
+        EXPECT_GT(link.array.reads, 0u);
+        EXPECT_TRUE(link.array.fabricLinks.empty());
+        EXPECT_EQ(link.array.avgFabricWaitUs, 0.0);
+        ASSERT_EQ(flat.array.fabricLinks.size(), 4u);
+        EXPECT_GT(flat.array.fabricLinks[0].messages, 0u);
+        expectIdenticalArrayExceptFabric(link.array, flat.array);
+        EXPECT_EQ(link.array.executorWindowsRun,
+                  flat.array.executorWindowsRun);
+        EXPECT_EQ(link.array.executorWindowsSkipped,
+                  flat.array.executorWindowsSkipped);
+        expectIdenticalTenants(link, flat);
     }
 }
 
