@@ -1,17 +1,19 @@
-# Result goldens for ssdrr_sim runs: the full stdout of
-# `ssdrr_sim <args>` must be byte-identical to a checked-in golden
-# file. Every table row is a deterministic simulation result, so any
-# drift in what is simulated (a refactor that changes an event order,
-# a stats fold that loses a field) fails here with the first differing
-# line. The cases are the example scenarios
-# (`--scenario examples/scenarios/<name>.json` against <name>.golden)
-# and the single-SSD paper-table replays under tests/data/.
+# Result goldens: the full stdout of `<tool> <args>` must be
+# byte-identical to a checked-in golden file. Every table row is a
+# deterministic simulation result, so any drift in what is simulated
+# (a refactor that changes an event order, a stats fold that loses a
+# field, an error-model rewrite that moves one retry step) fails here
+# with the first differing line. The cases are the example scenarios
+# (`ssdrr_sim --scenario examples/scenarios/<name>.json` against
+# <name>.golden), the single-SSD paper-table replays under
+# tests/data/, and the default output of every paper bench
+# (bench/goldens/<bench>.golden).
 #
 # Inputs (all -D):
-#   SIM_TOOL   path to the ssdrr_sim binary
-#   SIM_ARGS   the ssdrr_sim arguments, one space-separated string
+#   TOOL       path to the binary to run
+#   TOOL_ARGS  its arguments, one space-separated string (may be empty)
 #   GOLDEN     the golden file the stdout must match
-#   WORK_DIR   directory ssdrr_sim runs in (relative paths in SIM_ARGS
+#   WORK_DIR   directory the tool runs in (relative paths in TOOL_ARGS
 #              resolve against it, and stay relative in the output)
 #   UPDATE     if true, rewrite GOLDEN from the run instead of checking
 #
@@ -19,22 +21,24 @@
 # why in CHANGES.md):
 #   cmake --build build --target update_scenario_goldens
 
-foreach(var SIM_TOOL SIM_ARGS GOLDEN WORK_DIR)
+foreach(var TOOL TOOL_ARGS GOLDEN WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "scenario_golden.cmake: ${var} not set")
     endif()
 endforeach()
 
-separate_arguments(sim_args UNIX_COMMAND "${SIM_ARGS}")
+separate_arguments(tool_args UNIX_COMMAND "${TOOL_ARGS}")
+get_filename_component(tool_name "${TOOL}" NAME)
+string(STRIP "${tool_name} ${TOOL_ARGS}" run)
 execute_process(
-    COMMAND "${SIM_TOOL}" ${sim_args}
+    COMMAND "${TOOL}" ${tool_args}
     WORKING_DIRECTORY "${WORK_DIR}"
     OUTPUT_VARIABLE actual
     ERROR_VARIABLE stderr_text
     RESULT_VARIABLE code)
 if(NOT code EQUAL 0)
     message(FATAL_ERROR
-        "ssdrr_sim ${SIM_ARGS}: exit ${code}\n${stderr_text}")
+        "${run}: exit ${code}\n${stderr_text}")
 endif()
 
 if(UPDATE)
@@ -44,7 +48,7 @@ if(UPDATE)
 endif()
 
 if(NOT EXISTS "${GOLDEN}")
-    message(FATAL_ERROR "no golden for ssdrr_sim ${SIM_ARGS}: expected "
+    message(FATAL_ERROR "no golden for ${run}: expected "
                         "${GOLDEN}")
 endif()
 file(READ "${GOLDEN}" expected)
@@ -62,9 +66,9 @@ if(NOT actual STREQUAL expected)
                         OUTPUT_VARIABLE diff_text)
     endif()
     message(FATAL_ERROR
-        "ssdrr_sim ${SIM_ARGS}: output differs from ${GOLDEN} (actual "
+        "${run}: output differs from ${GOLDEN} (actual "
         "output kept in ${actual_file})\n${diff_text}"
         "After a deliberate result change: cmake --build <build> "
         "--target update_scenario_goldens")
 endif()
-message(STATUS "ssdrr_sim ${SIM_ARGS}: matches ${GOLDEN}")
+message(STATUS "${run}: matches ${GOLDEN}")
