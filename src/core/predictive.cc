@@ -46,7 +46,8 @@ PredictiveController::PredictiveController(const nand::TimingParams &timing,
                                            const Rpt &rpt,
                                            const ErrorPredictor &predictor,
                                            PredictiveConfig cfg)
-    : timing_(timing), model_(model), rpt_(rpt), predictor_(predictor),
+    : timing_(timing), model_(model), rpt_(rpt),
+      rpt_terms_(timingTerms(rpt, model)), predictor_(predictor),
       pnar2_(Mechanism::PnAR2, timing, model, &rpt), cfg_(cfg)
 {
 }
@@ -109,10 +110,11 @@ PredictiveController::planRead(sim::Tick start, nand::PageType type,
     const ErrorPrediction pred =
         predictor_.predict(chip, block, page, op);
 
-    const nand::TimingReduction red = rpt_.lookup(op);
+    const std::size_t entry = rpt_.index(op);
+    const nand::TimingReduction red = rpt_.reduction(entry);
     const sim::Tick s_def = timing_.tR(type);
     const sim::Tick s_red = timing_.tR(type, red);
-    const double extra = model_.deltaErrors(red, op);
+    const double extra = model_.deltaErrors(rpt_terms_[entry], op);
 
     if (pred.willRetry && cfg_.speculativeRetryStart && !red.none()) {
         // Walk the retry table with reduced timing from the start.

@@ -27,6 +27,8 @@
 #ifndef SSDRR_CORE_PREDICTIVE_HH
 #define SSDRR_CORE_PREDICTIVE_HH
 
+#include <vector>
+
 #include "core/retry_controller.hh"
 #include "core/rpt.hh"
 #include "ecc/engine.hh"
@@ -138,6 +140,8 @@ class PredictiveController
     nand::TimingParams timing_;
     const nand::ErrorModel &model_;
     const Rpt &rpt_;
+    /** timingTerms(rpt_, model_), by Rpt::index. */
+    std::vector<nand::TimingTerms> rpt_terms_;
     const ErrorPredictor &predictor_;
     RetryController pnar2_;
     PredictiveConfig cfg_;

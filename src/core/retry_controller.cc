@@ -10,7 +10,9 @@ RetryController::RetryController(Mechanism mech,
                                  const nand::TimingParams &timing,
                                  const nand::ErrorModel &model,
                                  const Rpt *rpt)
-    : mech_(mech), timing_(timing), model_(model), rpt_(rpt)
+    : mech_(mech), timing_(timing), model_(model), rpt_(rpt),
+      rpt_terms_(rpt ? timingTerms(*rpt, model)
+                     : std::vector<nand::TimingTerms>{})
 {
     SSDRR_ASSERT(!usesAdaptiveTiming(mech) || rpt_ != nullptr,
                  name(mech), " requires a profiled RPT");
@@ -49,13 +51,14 @@ RetryController::decideSteps(const nand::PageErrorProfile &prof,
     // AR2 path: the initial read always uses default timing; once it
     // fails the controller queries the RPT and shortens tPRE for the
     // retry steps.
-    dec.reduction = rpt_->lookup(op);
+    const std::size_t entry = rpt_->index(op);
+    dec.reduction = rpt_->reduction(entry);
     if (dec.reduction.none()) {
         dec.defaultSteps = n;
         return dec;
     }
 
-    const double extra = model_.deltaErrors(dec.reduction, op);
+    const double extra = model_.deltaErrors(rpt_terms_[entry], op);
     const double final_with_extra = prof.finalErrors + extra;
     if (final_with_extra <= cap) {
         // Profiling did its job: the same number of steps succeeds

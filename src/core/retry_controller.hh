@@ -24,6 +24,8 @@
 #ifndef SSDRR_CORE_RETRY_CONTROLLER_HH
 #define SSDRR_CORE_RETRY_CONTROLLER_HH
 
+#include <vector>
+
 #include "core/mechanism.hh"
 #include "core/rpt.hh"
 #include "ecc/engine.hh"
@@ -111,6 +113,8 @@ class RetryController
     nand::TimingParams timing_;
     const nand::ErrorModel &model_;
     const Rpt *rpt_;
+    /** timingTerms(*rpt_, model_), by Rpt::index (empty without RPT). */
+    std::vector<nand::TimingTerms> rpt_terms_;
 };
 
 } // namespace ssdrr::core

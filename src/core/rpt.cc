@@ -32,13 +32,20 @@ Rpt::binOf(const std::vector<double> &edges, double v) const
     return edges.size() - 1;
 }
 
-nand::TimingReduction
-Rpt::lookup(const nand::OperatingPoint &op) const
+std::size_t
+Rpt::index(const nand::OperatingPoint &op) const
 {
     const std::size_t pe = binOf(pe_edges_, op.peKilo);
     const std::size_t rt = binOf(ret_edges_, op.retentionMonths);
+    return pe * ret_edges_.size() + rt;
+}
+
+nand::TimingReduction
+Rpt::reduction(std::size_t i) const
+{
+    SSDRR_ASSERT(i < reductions_.size(), "RPT entry out of range");
     nand::TimingReduction red;
-    red.pre = reductions_[pe * ret_edges_.size() + rt];
+    red.pre = reductions_[i];
     return red;
 }
 
@@ -48,6 +55,16 @@ Rpt::entryAt(std::size_t pe_bin, std::size_t ret_bin) const
     SSDRR_ASSERT(pe_bin < pe_edges_.size() && ret_bin < ret_edges_.size(),
                  "RPT bin out of range");
     return reductions_[pe_bin * ret_edges_.size() + ret_bin];
+}
+
+std::vector<nand::TimingTerms>
+timingTerms(const Rpt &rpt, const nand::ErrorModel &model)
+{
+    std::vector<nand::TimingTerms> terms;
+    terms.reserve(rpt.entries());
+    for (std::size_t i = 0; i < rpt.entries(); ++i)
+        terms.push_back(model.timingTerms(rpt.reduction(i)));
+    return terms;
 }
 
 Rpt

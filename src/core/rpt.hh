@@ -25,21 +25,29 @@
 
 namespace ssdrr::core {
 
+/**
+ * Each axis is a list of increasing bin upper edges. A value v falls
+ * in the first bin i with v <= edges[i] (upper edges are inclusive),
+ * and a value beyond the last edge clamps to the last, most
+ * conservative bin.
+ */
 class Rpt
 {
   public:
-    /** One profiled entry. */
-    struct Entry {
-        double maxPeKilo;          ///< bin upper edge (exclusive)
-        double maxRetentionMonths; ///< bin upper edge (exclusive)
-        double preReduction;       ///< safe tPRE reduction fraction
-    };
-
     Rpt(std::vector<double> pe_edges, std::vector<double> ret_edges,
         std::vector<double> reductions);
 
     /** Safe timing reduction for an operating point. */
-    nand::TimingReduction lookup(const nand::OperatingPoint &op) const;
+    nand::TimingReduction lookup(const nand::OperatingPoint &op) const
+    {
+        return reduction(index(op));
+    }
+
+    /** Entry index (pe-major) of the bin holding @p op. */
+    std::size_t index(const nand::OperatingPoint &op) const;
+
+    /** Timing reduction of entry @p i (see index()). */
+    nand::TimingReduction reduction(std::size_t i) const;
 
     std::size_t peBins() const { return pe_edges_.size(); }
     std::size_t retBins() const { return ret_edges_.size(); }
@@ -59,6 +67,14 @@ class Rpt
     std::vector<double> ret_edges_;
     std::vector<double> reductions_; // pe-major
 };
+
+/**
+ * ErrorModel::timingTerms of every entry of @p rpt, by Rpt::index.
+ * The RPT is immutable, so controllers compute these once and skip
+ * the expm1() calls of deltaErrors() on every adaptive read.
+ */
+std::vector<nand::TimingTerms> timingTerms(const Rpt &rpt,
+                                           const nand::ErrorModel &model);
 
 class RptBuilder
 {

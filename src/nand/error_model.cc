@@ -28,15 +28,36 @@ ErrorModel::ErrorModel(Calibration cal, std::uint64_t seed)
     : cal_(cal), seed_(seed)
 {
     SSDRR_ASSERT(cal_.eccCapability > 0.0, "ECC capability must be > 0");
+    // simulateRead()'s bisection relies on the two ratio bounds.
+    SSDRR_ASSERT(cal_.decayRatio > 1.0, "decay ratio must be > 1");
+    SSDRR_ASSERT(cal_.overshootRatio >= 1.0, "overshoot ratio must be >= 1");
+    SSDRR_ASSERT(cal_.retryTableSteps >= 0, "negative retry table size");
+}
+
+double
+ErrorModel::retentionTerm(const OperatingPoint &op) const
+{
+    return std::log1p(op.retentionMonths / cal_.nTau);
+}
+
+ErrorModel::Surfaces
+ErrorModel::surfaces(const OperatingPoint &op) const
+{
+    checkOp(op);
+    const double ret = retentionTerm(op);
+    Surfaces s;
+    s.meanRetrySteps = cal_.nRet * ret * (1.0 + cal_.nPeCoup * op.peKilo) +
+                       cal_.nPe * op.peKilo;
+    s.finalErrorsMax = cal_.mBase + cal_.mPe * op.peKilo + cal_.mRet * ret +
+                       temperatureAdder(op.temperatureC);
+    s.finalErrorsMean = cal_.mMeanFrac * s.finalErrorsMax;
+    return s;
 }
 
 double
 ErrorModel::meanRetrySteps(const OperatingPoint &op) const
 {
-    checkOp(op);
-    const double ret = std::log1p(op.retentionMonths / cal_.nTau);
-    return cal_.nRet * ret * (1.0 + cal_.nPeCoup * op.peKilo) +
-           cal_.nPe * op.peKilo;
+    return surfaces(op).meanRetrySteps;
 }
 
 double
@@ -62,16 +83,13 @@ ErrorModel::temperaturePenalty(double d, double temp_c) const
 double
 ErrorModel::finalErrorsMax(const OperatingPoint &op) const
 {
-    checkOp(op);
-    const double ret = std::log1p(op.retentionMonths / cal_.nTau);
-    return cal_.mBase + cal_.mPe * op.peKilo + cal_.mRet * ret +
-           temperatureAdder(op.temperatureC);
+    return surfaces(op).finalErrorsMax;
 }
 
 double
 ErrorModel::finalErrorsMean(const OperatingPoint &op) const
 {
-    return cal_.mMeanFrac * finalErrorsMax(op);
+    return surfaces(op).finalErrorsMean;
 }
 
 double
@@ -83,35 +101,48 @@ ErrorModel::eccMargin(const OperatingPoint &op) const
 double
 ErrorModel::conditionScale(const OperatingPoint &op) const
 {
-    const double ret = std::log1p(op.retentionMonths / cal_.nTau);
-    return (1.0 + cal_.gPe * op.peKilo) * (1.0 + cal_.gRet * ret);
+    return (1.0 + cal_.gPe * op.peKilo) *
+           (1.0 + cal_.gRet * retentionTerm(op));
 }
 
-double
-ErrorModel::deltaErrors(const TimingReduction &red,
-                        const OperatingPoint &op) const
+TimingTerms
+ErrorModel::timingTerms(const TimingReduction &red) const
 {
-    checkOp(op);
     SSDRR_ASSERT(red.pre >= 0.0 && red.pre < 1.0 && red.eval >= 0.0 &&
                      red.eval < 1.0 && red.disch >= 0.0 && red.disch < 1.0,
                  "timing reductions must be fractions in [0, 1)");
-    const double g = conditionScale(op);
-
     // A shortened discharge leaves residual BL charge that the next
     // precharge must absorb, so it effectively shortens tPRE further
     // (Section 2.2 / Fig. 9's superlinear combined effect).
     const double x_pre_eff = red.pre + cal_.dischCoupling * red.disch;
 
-    double d = 0.0;
+    TimingTerms t;
     if (x_pre_eff > 0.0) {
-        d += cal_.aPre * g * std::expm1(x_pre_eff / cal_.xPre);
+        t.pre = std::expm1(x_pre_eff / cal_.xPre);
         if (x_pre_eff > cal_.cliffStart)
-            d += cal_.cliffSlope * (x_pre_eff - cal_.cliffStart);
+            t.cliff = cal_.cliffSlope * (x_pre_eff - cal_.cliffStart);
     }
     if (red.eval > 0.0)
-        d += cal_.aEval * g * std::expm1(red.eval / cal_.xEval);
+        t.eval = std::expm1(red.eval / cal_.xEval);
     if (red.disch > 0.0)
-        d += cal_.aDisch * g * std::expm1(red.disch / cal_.xDisch);
+        t.disch = std::expm1(red.disch / cal_.xDisch);
+    return t;
+}
+
+double
+ErrorModel::deltaErrors(const TimingTerms &terms,
+                        const OperatingPoint &op) const
+{
+    checkOp(op);
+    const double g = conditionScale(op);
+
+    // An absent term is +0.0, and adding it leaves the sum (which
+    // starts at +0.0) bit-identical to skipping it.
+    double d = 0.0;
+    d += cal_.aPre * g * terms.pre;
+    d += terms.cliff;
+    d += cal_.aEval * g * terms.eval;
+    d += cal_.aDisch * g * terms.disch;
 
     d += temperaturePenalty(d, op.temperatureC);
     return std::min(d, kErrorCap);
@@ -158,13 +189,13 @@ ErrorModel::pageProfile(std::uint64_t chip, std::uint64_t block,
 
     PageErrorProfile prof;
 
-    const double n_mean = meanRetrySteps(op);
-    double n = n_mean * n_var + jitter;
+    const Surfaces surf = surfaces(op);
+    double n = surf.meanRetrySteps * n_var + jitter;
     prof.retrySteps = std::clamp(static_cast<int>(std::lround(n)), 0,
                                  cal_.retryTableSteps);
 
-    const double e_max = finalErrorsMax(op);
-    double e = finalErrorsMean(op) * e_var;
+    const double e_max = surf.finalErrorsMax;
+    double e = surf.finalErrorsMean * e_var;
     prof.finalErrors = std::clamp(e, 0.5, e_max);
 
     // Enforce the Fig. 4b invariant against the chip's design-point
@@ -177,9 +208,8 @@ ErrorModel::pageProfile(std::uint64_t chip, std::uint64_t block,
                  cal_.failGuard * cal_.designCapability /
                      prof.finalErrors);
 
-    // Memoize the default-condition retry walk once per profile:
-    // simulateRead() below is called for every read of the page and
-    // would otherwise re-run the stepErrors() pow chain each time.
+    // Memoize the default-condition retry walk once per profile, for
+    // every later read of the page that reuses it.
     const ReadOutcome base = simulateRead(prof);
     prof.baseRetrySteps = base.retrySteps;
     prof.baseSuccess = base.success;
@@ -222,17 +252,42 @@ ErrorModel::simulateRead(const PageErrorProfile &prof, double extra,
         return ReadOutcome{prof.baseRetrySteps, prof.baseSuccess,
                            prof.baseLastStepErrors};
     }
-    ReadOutcome out;
-    for (int k = 0; k <= cal_.retryTableSteps; ++k) {
-        out.retrySteps = k;
-        out.lastStepErrors = stepErrors(prof, k, extra);
-        if (out.lastStepErrors <= cap) {
-            out.success = true;
-            return out;
+    SSDRR_ASSERT(prof.decayRatio > 1.0, "profile decay ratio must be > 1");
+
+    // Errors are non-increasing in k up to VOPT (decayRatio > 1) and
+    // never below their VOPT value past it (overshootRatio >= 1), so
+    // the first fitting step is at most m = min(N, table), and none
+    // fits if step m does not.
+    const int table = cal_.retryTableSteps;
+    const int m = std::max(0, std::min(prof.retrySteps, table));
+    const double e_m = stepErrors(prof, m, extra);
+    if (e_m > cap) {
+        return ReadOutcome{table, false,
+                           m == table ? e_m : stepErrors(prof, table, extra)};
+    }
+    if (m == 0)
+        return ReadOutcome{0, true, e_m};
+
+    // Step m fits. On generated profiles step m-1 fails at the
+    // design capability (the Fig. 4b invariant), so check it first.
+    double e_hi = stepErrors(prof, m - 1, extra);
+    if (e_hi > cap)
+        return ReadOutcome{m, true, e_m};
+
+    // Bisect [0, m-1] for the first fitting step; hi always fits.
+    int lo = 0;
+    int hi = m - 1;
+    while (lo < hi) {
+        const int mid = lo + (hi - lo) / 2;
+        const double e = stepErrors(prof, mid, extra);
+        if (e <= cap) {
+            hi = mid;
+            e_hi = e;
+        } else {
+            lo = mid + 1;
         }
     }
-    out.success = false;
-    return out;
+    return ReadOutcome{hi, true, e_hi};
 }
 
 } // namespace ssdrr::nand

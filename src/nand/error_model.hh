@@ -39,13 +39,12 @@ struct PageErrorProfile {
 
     /**
      * Memoized default-condition retry walk (extra = 0 at the
-     * model's own ECC capability), filled by ErrorModel::pageProfile
-     * by running the stepErrors() pow chain once per profile. The
-     * per-read simulateRead() then returns these fields instead of
-     * re-walking the decay chain for every read of the page.
-     * Hand-built profiles (tests, benches) leave baseRetrySteps < 0
-     * and take the closed-form walk — bit-identical either way,
-     * since these fields are produced by that same walk.
+     * model's own ECC capability), filled by ErrorModel::pageProfile.
+     * RetryController::decideSteps takes this walk on every read, so
+     * a profile served again by PageProfileCache skips its
+     * stepErrors() calls. Hand-built profiles (tests, benches) leave
+     * baseRetrySteps < 0 and take the walk - bit-identical either
+     * way, since these fields are produced by that same walk.
      */
     int baseRetrySteps = -1; ///< < 0: not memoized
     bool baseSuccess = true;
@@ -62,6 +61,20 @@ struct ReadOutcome {
     bool success = true;
     /** Errors per KiB observed in the last step performed. */
     double lastStepErrors = 0.0;
+};
+
+/**
+ * The factors of dM_ERR that depend only on the timing reduction:
+ * the expm1() of each shortened parameter and the precharge cliff.
+ * ErrorModel::deltaErrors scales them by the operating point's
+ * condition factor and temperature penalty. An absent reduction
+ * contributes 0.
+ */
+struct TimingTerms {
+    double pre = 0.0;   ///< expm1(x_pre_eff / xPre)
+    double cliff = 0.0; ///< cliffSlope * (x_pre_eff - cliffStart), if > 0
+    double eval = 0.0;  ///< expm1(eval / xEval)
+    double disch = 0.0; ///< expm1(disch / xDisch)
 };
 
 class ErrorModel
@@ -93,6 +106,20 @@ class ErrorModel
      * temperature multiplier.
      */
     double deltaErrors(const TimingReduction &red,
+                       const OperatingPoint &op) const
+    {
+        return deltaErrors(timingTerms(red), op);
+    }
+
+    /** The operating-point-free factors of deltaErrors(@p red, ...). */
+    TimingTerms timingTerms(const TimingReduction &red) const;
+
+    /**
+     * deltaErrors() from precomputed @p terms (bit-identical to
+     * passing the reduction they were computed from). Callers with a
+     * fixed reduction table (the RPT) compute the terms once.
+     */
+    double deltaErrors(const TimingTerms &terms,
                        const OperatingPoint &op) const;
 
     /**
@@ -125,14 +152,31 @@ class ErrorModel
                       double extra = 0.0) const;
 
     /**
-     * Simulate the retry walk: first step whose errors fit within
-     * @p capability. @p extra is dM_ERR from timing reduction.
+     * Simulate the retry walk: first step k in [0, retryTableSteps]
+     * whose errors fit within @p capability, or a failed walk ending
+     * at the last table step. @p extra is dM_ERR from timing
+     * reduction.
+     *
+     * The step is found by bisection, in O(log retryTableSteps)
+     * stepErrors() calls and usually two: stepErrors() falls
+     * monotonically toward VOPT (decayRatio > 1) and never falls
+     * below its VOPT value past it (overshootRatio >= 1).
      */
     ReadOutcome simulateRead(const PageErrorProfile &prof,
                              double extra = 0.0,
                              double capability = -1.0) const;
 
   private:
+    /** The Layer-1 surfaces at one operating point. */
+    struct Surfaces {
+        double meanRetrySteps;  ///< N_RR
+        double finalErrorsMax;  ///< M_ERR
+        double finalErrorsMean; ///< mean final-step errors
+    };
+    /** All three from one retention log (pageProfile's path). */
+    Surfaces surfaces(const OperatingPoint &op) const;
+    /** log1p(t / nTau): the retention-age term of every surface. */
+    double retentionTerm(const OperatingPoint &op) const;
     /** Condition scaling factor g(op) for timing-reduction errors. */
     double conditionScale(const OperatingPoint &op) const;
     /** Extra timing-reduction errors at @p temp_c given dM = @p d. */

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "core/rpt.hh"
 #include "nand/error_model.hh"
 
 namespace ssdrr::nand {
@@ -205,6 +210,205 @@ TEST(ErrorModel, StepErrorsRejectsNegativeStep)
     const PageErrorProfile prof =
         m.pageProfile(0, 0, 0, OperatingPoint{1.0, 6.0, 85.0});
     EXPECT_THROW(m.stepErrors(prof, -1), std::logic_error);
+}
+
+/**
+ * The retry walk by definition, from the public stepErrors():
+ * @p errs holds stepErrors(prof, k, extra) for every table step k,
+ * and the walk ends at the first step within @p cap, or fails at the
+ * last table step.
+ */
+ReadOutcome
+linearWalk(const std::vector<double> &errs, double cap)
+{
+    for (std::size_t k = 0; k < errs.size(); ++k) {
+        if (errs[k] <= cap)
+            return ReadOutcome{static_cast<int>(k), true, errs[k]};
+    }
+    return ReadOutcome{static_cast<int>(errs.size()) - 1, false,
+                       errs.back()};
+}
+
+std::vector<double>
+stepErrorTable(const ErrorModel &m, const PageErrorProfile &prof,
+               double extra)
+{
+    std::vector<double> errs;
+    for (int k = 0; k <= m.cal().retryTableSteps; ++k)
+        errs.push_back(m.stepErrors(prof, k, extra));
+    return errs;
+}
+
+/** Counts simulateRead() disagreements with linearWalk(). */
+class WalkChecker
+{
+  public:
+    explicit WalkChecker(const ErrorModel &m) : m_(m) {}
+
+    /**
+     * Check @p prof at every capability in @p caps (-1 = model's).
+     * With no extra errors, a memoized profile's default walk is
+     * checked both from the memo and from a walk.
+     */
+    void
+    check(const PageErrorProfile &prof, double extra,
+          const std::vector<double> &caps)
+    {
+        const std::vector<double> errs = stepErrorTable(m_, prof, extra);
+        const int vopt = std::min(prof.retrySteps, m_.cal().retryTableSteps);
+        PageErrorProfile bare = prof;
+        bare.baseRetrySteps = -1;
+        for (double capability : caps) {
+            const double cap =
+                capability < 0.0 ? m_.cal().eccCapability : capability;
+            const ReadOutcome want = linearWalk(errs, cap);
+            ++walks;
+            if (!want.success)
+                ++failures;
+            else if (want.retrySteps < vopt)
+                ++bisected;
+            compare(prof, extra, capability, want);
+            if (extra == 0.0 && prof.baseRetrySteps >= 0)
+                compare(bare, extra, capability, want);
+        }
+    }
+
+    long walks = 0;
+    long failures = 0;
+    long bisected = 0; ///< walks that end before VOPT
+    long mismatches = 0;
+    std::string first;
+
+  private:
+    void
+    compare(const PageErrorProfile &prof, double extra, double capability,
+            const ReadOutcome &want)
+    {
+        const ReadOutcome got = m_.simulateRead(prof, extra, capability);
+        if (got.retrySteps == want.retrySteps && got.success == want.success &&
+            got.lastStepErrors == want.lastStepErrors)
+            return;
+        if (mismatches++ == 0) {
+            std::ostringstream os;
+            os << "N=" << prof.retrySteps << " f=" << prof.finalErrors
+               << " r=" << prof.decayRatio << " extra=" << extra
+               << " cap=" << capability
+               << " memo=" << (prof.baseRetrySteps >= 0) << ": want ("
+               << want.retrySteps << ", " << want.success << ", "
+               << want.lastStepErrors << ") got (" << got.retrySteps
+               << ", " << got.success << ", " << got.lastStepErrors << ")";
+            first = os.str();
+        }
+    }
+
+    const ErrorModel &m_;
+};
+
+TEST(ErrorModelWalk, BisectionMatchesLinearWalkOnProfileGrid)
+{
+    const ErrorModel m;
+    const core::Rpt rpt = core::RptBuilder(m).buildDefault();
+    const std::vector<double> caps = {-1.0, 40.0, 72.0, 120.0};
+    WalkChecker checker(m);
+    for (double pe : {0.0, 1.0, 2.0, 3.0}) {
+        for (double ret : {0.0, 1.0, 6.0, 12.0, 24.0}) {
+            for (double temp : {30.0, 55.0, 85.0}) {
+                const OperatingPoint op{pe, ret, temp};
+                // Every RPT entry's dM_ERR at op, deduplicated (equal
+                // extras give equal walks).
+                std::vector<double> extras = {0.0, 100.0, 5000.0};
+                for (std::size_t i = 0; i < rpt.entries(); ++i)
+                    extras.push_back(m.deltaErrors(rpt.reduction(i), op));
+                std::sort(extras.begin(), extras.end());
+                extras.erase(std::unique(extras.begin(), extras.end()),
+                             extras.end());
+                for (int p = 0; p < 2000; ++p) {
+                    const PageErrorProfile prof =
+                        m.pageProfile(1, p / 64, p % 64, op);
+                    for (double extra : extras)
+                        checker.check(prof, extra, caps);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checker.mismatches, 0) << "first: " << checker.first;
+    // The grid reaches the failed walk and the bisection.
+    EXPECT_GT(checker.failures, 0);
+    EXPECT_GT(checker.bisected, 0);
+    EXPECT_GT(checker.walks, checker.failures + checker.bisected);
+}
+
+TEST(ErrorModelWalk, BisectionMatchesLinearWalkOnEdgeProfiles)
+{
+    const ErrorModel m;
+    const int table = m.cal().retryTableSteps;
+    ASSERT_EQ(table, 44);
+    auto make = [](int n, double f, double r) {
+        PageErrorProfile prof;
+        prof.retrySteps = n;
+        prof.finalErrors = f;
+        prof.decayRatio = r;
+        return prof;
+    };
+    const std::vector<PageErrorProfile> profiles = {
+        make(0, 30.0, 2.2),  // no retry
+        make(44, 40.0, 2.2), // the table's last step
+        make(50, 30.0, 2.2), // beyond the table: every step fails
+        make(12, 90.0, 2.2), // even VOPT exceeds 72: every step fails
+        // N - k > 40 for the first steps: stepErrors clamps the pow
+        // exponent, so those steps share one error count.
+        make(44, 10.0, 1.05),
+        make(50, 10.0, 1.05),
+        make(60, 1.0, 1.1),
+    };
+    const std::vector<double> caps = {-1.0, 1.0,  20.0, 40.0, 60.0,
+                                      70.0, 72.0, 120.0, 1e9};
+    WalkChecker checker(m);
+    for (const PageErrorProfile &prof : profiles)
+        for (double extra : {0.0, 5.0, 100.0, 5000.0})
+            checker.check(prof, extra, caps);
+    EXPECT_EQ(checker.mismatches, 0) << "first: " << checker.first;
+    EXPECT_GT(checker.bisected, 0);
+
+    // Spot values (capability 72).
+    EXPECT_EQ(m.simulateRead(profiles[0]).retrySteps, 0);
+    EXPECT_EQ(m.simulateRead(profiles[1]).retrySteps, 44);
+    const ReadOutcome beyond = m.simulateRead(profiles[2]);
+    EXPECT_FALSE(beyond.success);
+    EXPECT_EQ(beyond.retrySteps, table);
+    EXPECT_EQ(beyond.lastStepErrors, m.stepErrors(profiles[2], table));
+    const ReadOutcome dirty = m.simulateRead(profiles[3]);
+    EXPECT_FALSE(dirty.success);
+    EXPECT_EQ(dirty.retrySteps, table);
+    EXPECT_EQ(dirty.lastStepErrors, m.stepErrors(profiles[3], table));
+    // 10 * 1.05^40 = 70.4 <= 72: the clamped first step already fits.
+    EXPECT_EQ(m.stepErrors(profiles[4], 0), m.stepErrors(profiles[4], 4));
+    EXPECT_EQ(m.simulateRead(profiles[4]).retrySteps, 0);
+}
+
+TEST(ErrorModelWalk, RatioBoundsAreEnforced)
+{
+    Calibration flat;
+    flat.decayRatio = 1.0;
+    EXPECT_THROW(ErrorModel{flat}, std::logic_error);
+    Calibration shrinking;
+    shrinking.overshootRatio = 0.9;
+    EXPECT_THROW(ErrorModel{shrinking}, std::logic_error);
+    Calibration level;
+    level.overshootRatio = 1.0;
+    EXPECT_NO_THROW(ErrorModel{level});
+    Calibration no_table;
+    no_table.retryTableSteps = -1;
+    EXPECT_THROW(ErrorModel{no_table}, std::logic_error);
+
+    const ErrorModel m;
+    PageErrorProfile prof;
+    prof.retrySteps = 5;
+    prof.finalErrors = 30.0;
+    prof.decayRatio = 1.0;
+    EXPECT_THROW(m.simulateRead(prof), std::logic_error);
+    prof.decayRatio = 0.5;
+    EXPECT_THROW(m.simulateRead(prof, 3.0), std::logic_error);
 }
 
 /**
