@@ -158,9 +158,9 @@ class ErrorModel
      * reduction.
      *
      * The step is found by bisection, in O(log retryTableSteps)
-     * stepErrors() calls and usually two: stepErrors() falls
-     * monotonically toward VOPT (decayRatio > 1) and never falls
-     * below its VOPT value past it (overshootRatio >= 1).
+     * stepErrors() calls and usually two: stepErrors() never rises
+     * on the way to VOPT (decayRatio > 1) and never falls below its
+     * VOPT value past it (overshootRatio >= 1).
      */
     ReadOutcome simulateRead(const PageErrorProfile &prof,
                              double extra = 0.0,

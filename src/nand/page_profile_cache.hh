@@ -2,13 +2,19 @@
  * @file
  * Memoization cache in front of ErrorModel::pageProfile.
  *
- * pageProfile() is pure but expensive: a hash-stream seed, two
- * log-normal draws (four transcendental calls via Box-Muller), a
- * normal draw, and the step-error table fill. The SSD layer calls it
- * once per read transaction, and real workloads re-read hot pages
- * constantly, so an open-addressing cache keyed by the packed
- * (chip, block, page) coordinates removes the recomputation from the
- * read hot path.
+ * pageProfile() is pure: a hash-stream seed, two log-normal draws and
+ * a normal draw (Box-Muller, several transcendental calls), one
+ * log1p for the population surfaces, and the bisected default retry
+ * walk (usually two pow calls). The SSD layer needs a profile once
+ * per read transaction; an open-addressing cache keyed by the packed
+ * (chip, block, page) coordinates returns the stored one when a page
+ * is read again at the same operating point.
+ *
+ * What that saves depends on re-read locality, and trace workloads
+ * have little: perfbench measured hit ratios of 0.037 on
+ * replay-paper and 0.045 on raid5-rmw-cached, so there nearly every
+ * get() is a probe plus a full pageProfile(). The cache never
+ * changes a result; ssd::Config::profileCacheSlots = 0 disables it.
  *
  * Correctness does not depend on invalidation: every entry stores
  * the OperatingPoint it was computed at, and a lookup whose op
