@@ -1,23 +1,23 @@
 /**
  * @file
- * End-to-end simulator throughput harness (perf trajectory).
+ * Simulation-results harness: every bench section's deterministic
+ * results, digested against a golden.
  *
  * Runs the multi-tenant tail scenario (4 closed-loop tenants, 2-drive
  * striped array, mid-life operating point — the same shape as
- * bench/multi_tenant_tail.cc) under Baseline and PnAR2, and measures
- * wall time, executed events/second and completed reads/second. The
+ * bench/multi_tenant_tail.cc) under Baseline and PnAR2. The
  * deterministic simulation results are digested so a perf change that
- * silently alters what is simulated fails CI.
+ * silently alters what is simulated fails CI. It reports results
+ * only; perfbench/ is the harness that times the simulator.
  *
- * A second section measures the sharded per-drive (fabric) engine,
+ * A second section runs the sharded per-drive (fabric) engine,
  * driven by a host-link turnaround: a 4-drive saturation scenario
  * (8 closed-loop tenants, 32 device slots per drive, 50 us host
  * link, profile cache disabled so every read pays the full model
- * math) run with 1 and with 4 worker threads. The
- * two runs' deterministic results MUST be bit-identical — the bench
- * exits non-zero if they diverge — and the wall-clock ratio is the
- * parallel speedup (recorded as the par4d-1t / par4d-4t entries of
- * the JSON; it needs >= 4 free cores to show the full effect).
+ * math) with 1 and with 4 worker threads (the par4d-1t / par4d-4t
+ * entries). The two runs' deterministic results MUST be
+ * bit-identical — the bench exits non-zero and names the fields
+ * that diverge.
  *
  * Four more sections ride along: raid5-* (degraded-read
  * reconstruction, healthy vs one failed drive), cached-* (the
@@ -35,37 +35,32 @@
  * (bench/sim_throughput.golden, checked by the ctest
  * bench_sim_throughput_golden). Those results do not depend on the
  * machine or on the worker count, so the digest is comparable
- * everywhere; wall times and the `unreliable` flags stay out of it.
+ * everywhere.
  *
  * Usage:
  *   bench_sim_throughput [--short] [--json PATH]
  *                        [--check-digest GOLDEN]
  *                        [--update-golden GOLDEN]
- *                        [--repeat N]
  *
  *   --short          CI-sized run (fewer requests per tenant)
- *   --json PATH      write the trajectory JSON
- *                    (default BENCH_sim_throughput.json)
+ *   --json PATH      write every run's RunStats fields as JSON
  *   --check-digest   compare results against a golden digest file;
  *                    exit non-zero on mismatch
  *   --update-golden  rewrite the golden digest file
- *   --repeat N       wall-time measurement repetitions (default 1;
- *                    the fastest repetition is reported)
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fabric/topology.hh"
 #include "host/bench_scenarios.hh"
 #include "host/scenario.hh"
 #include "host/scenario_spec.hh"
-#include "sim/bench_report.hh"
 #include "ssd/config.hh"
+#include "ssd/ssd.hh"
 
 using namespace ssdrr;
 
@@ -78,38 +73,10 @@ tailScenario(core::Mechanism mech, std::uint64_t requests_per_tenant)
         .toConfig(mech);
 }
 
-/**
- * Run @p make_config's scenario @p repeat times, keeping the fastest
- * wall time, and fold the (identical) deterministic results plus the
- * wall-derived rates into a BenchRun named @p name.
- */
-template <typename MakeConfig>
-sim::BenchRun
-measureScenario(const std::string &name, const MakeConfig &make_config,
-                int repeat)
+host::BenchRun
+run(const std::string &name, const host::ScenarioConfig &cfg)
 {
-    host::ScenarioResult res;
-    double best = -1.0;
-    for (int i = 0; i < repeat; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        res = host::runScenario(make_config());
-        const auto t1 = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(t1 - t0).count();
-        if (best < 0.0 || secs < best)
-            best = secs;
-    }
-    return host::benchRunFrom(name, res.array, best);
-}
-
-sim::BenchRun
-measure(core::Mechanism mech, std::uint64_t requests_per_tenant,
-        int repeat)
-{
-    return measureScenario(
-        core::name(mech),
-        [&] { return tailScenario(mech, requests_per_tenant); },
-        repeat);
+    return {name, host::runScenario(cfg).array};
 }
 
 /**
@@ -150,16 +117,6 @@ parallelScenario(std::uint64_t requests_per_tenant,
     return cfg;
 }
 
-sim::BenchRun
-measureParallel(std::uint32_t threads,
-                std::uint64_t requests_per_tenant, int repeat)
-{
-    return measureScenario(
-        "par4d-" + std::to_string(threads) + "t",
-        [&] { return parallelScenario(requests_per_tenant, threads); },
-        repeat);
-}
-
 /**
  * RAID-5 degraded-read section: a 4-drive rotating-parity array at a
  * retry-heavy operating point (2K P/E + 12-month retention), healthy
@@ -189,19 +146,6 @@ raid5Scenario(core::Mechanism mech,
             .qdLimit(16);
     }
     return b.build().toConfig(mech);
-}
-
-sim::BenchRun
-measureRaid5(core::Mechanism mech, bool degraded,
-             std::uint64_t requests_per_tenant, int repeat)
-{
-    return measureScenario(
-        std::string("raid5-") + (degraded ? "degraded" : "healthy") +
-            "-" + core::name(mech),
-        [&] {
-            return raid5Scenario(mech, requests_per_tenant, degraded);
-        },
-        repeat);
 }
 
 /**
@@ -241,16 +185,6 @@ cachedScenario(std::uint64_t requests_per_tenant, bool cached)
             .qdLimit(16);
     }
     return b.build().toConfig(core::Mechanism::PnAR2);
-}
-
-sim::BenchRun
-measureCached(bool cached, std::uint64_t requests_per_tenant,
-              int repeat)
-{
-    return measureScenario(
-        std::string("cached-") + (cached ? "on" : "off"),
-        [&] { return cachedScenario(requests_per_tenant, cached); },
-        repeat);
 }
 
 /**
@@ -319,19 +253,6 @@ faultModeName(FaultMode mode)
     return "?";
 }
 
-sim::BenchRun
-measureFault(core::Mechanism mech, FaultMode mode,
-             std::uint64_t requests_per_tenant, int repeat)
-{
-    return measureScenario(
-        std::string("fault-") + faultModeName(mode) + "-" +
-            core::name(mech),
-        [&] {
-            return faultScenario(mech, requests_per_tenant, mode);
-        },
-        repeat);
-}
-
 /**
  * Storage-fabric section: the raid0 tail shape on a 4-drive array,
  * per mechanism, in three cablings. "flat" gives every drive its own
@@ -395,43 +316,13 @@ fabricModeName(FabricMode mode)
     return "?";
 }
 
-sim::BenchRun
-measureFabric(core::Mechanism mech, FabricMode mode,
-              std::uint64_t requests_per_tenant, int repeat)
-{
-    return measureScenario(
-        std::string("fabric-") + fabricModeName(mode) + "-" +
-            core::name(mech),
-        [&] {
-            return fabricScenario(mech, requests_per_tenant, mode);
-        },
-        repeat);
-}
-
-/** The deterministic fields two thread counts must agree on. */
-bool
-identicalResults(const sim::BenchRun &a, const sim::BenchRun &b)
-{
-    return a.executedEvents == b.executedEvents && a.reads == b.reads &&
-           a.writes == b.writes && a.retrySamples == b.retrySamples &&
-           a.suspensions == b.suspensions &&
-           a.gcCollections == b.gcCollections &&
-           a.readFailures == b.readFailures &&
-           a.refreshes == b.refreshes &&
-           a.simulatedMs == b.simulatedMs &&
-           a.avgRetrySteps == b.avgRetrySteps &&
-           a.p50ReadUs == b.p50ReadUs && a.p99ReadUs == b.p99ReadUs &&
-           a.p999ReadUs == b.p999ReadUs;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     bool short_mode = false;
-    int repeat = 1;
-    std::string json_path = "BENCH_sim_throughput.json";
+    std::string json_path;
     std::string check_golden;
     std::string update_golden;
 
@@ -452,15 +343,11 @@ main(int argc, char **argv)
             check_golden = next();
         else if (arg == "--update-golden")
             update_golden = next();
-        else if (arg == "--repeat")
-            repeat = std::atoi(next());
         else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             return 2;
         }
     }
-    if (repeat < 1)
-        repeat = 1;
 
     const std::uint64_t per_tenant = short_mode ? 400 : 2000;
     const std::uint64_t par_per_tenant = short_mode ? 400 : 2000;
@@ -501,21 +388,20 @@ main(int argc, char **argv)
         "oversubscribed uplinks";
 
     std::printf("sim_throughput — %s\n\n", label.c_str());
-    std::printf("%-10s %12s %14s %12s %12s %10s\n", "mechanism",
-                "wall[s]", "events/s", "reads/s", "events",
-                "cache-hit%");
+    std::printf("%-10s %12s %12s %10s\n", "mechanism", "events",
+                "reads", "cache-hit%");
 
-    std::vector<sim::BenchRun> runs;
+    std::vector<host::BenchRun> runs;
     for (core::Mechanism m :
          {core::Mechanism::Baseline, core::Mechanism::PnAR2}) {
-        runs.push_back(measure(m, per_tenant, repeat));
-        const sim::BenchRun &r = runs.back();
+        runs.push_back(run(core::name(m), tailScenario(m, per_tenant)));
+        const ssd::RunStats &r = runs.back().stats;
         const std::uint64_t lookups =
             r.profileCacheHits + r.profileCacheMisses;
-        std::printf("%-10s %12.3f %14.0f %12.0f %12llu %9.1f%%\n",
-                    r.name.c_str(), r.wallSeconds, r.eventsPerSecond,
-                    r.readsPerSecond,
+        std::printf("%-10s %12llu %12llu %9.1f%%\n",
+                    runs.back().name.c_str(),
                     static_cast<unsigned long long>(r.executedEvents),
+                    static_cast<unsigned long long>(r.reads),
                     lookups ? 100.0 *
                                   static_cast<double>(r.profileCacheHits) /
                                   static_cast<double>(lookups)
@@ -525,42 +411,33 @@ main(int argc, char **argv)
     // ----- sharded per-drive engine: 4 drives, 1 vs 4 workers -----
     std::printf("\nparallel array — 8 closed-loop tenants x %llu reqs, "
                 "QD 32, 4-drive array, 50 us host link, profile "
-                "cache off, PnAR2 (%u cores available)\n",
-                static_cast<unsigned long long>(par_per_tenant),
-                std::thread::hardware_concurrency());
-    std::printf("%-10s %12s %14s %12s %12s\n", "threads", "wall[s]",
-                "events/s", "reads/s", "events");
-    std::vector<sim::BenchRun> par_runs;
+                "cache off, PnAR2\n",
+                static_cast<unsigned long long>(par_per_tenant));
+    std::printf("%-10s %12s %12s\n", "threads", "events", "reads");
+    std::vector<host::BenchRun> par_runs;
     for (std::uint32_t threads : {1u, 4u}) {
         par_runs.push_back(
-            measureParallel(threads, par_per_tenant, repeat));
-        const sim::BenchRun &r = par_runs.back();
-        std::printf("%-10s %12.3f %14.0f %12.0f %12llu\n",
-                    r.name.c_str(), r.wallSeconds, r.eventsPerSecond,
-                    r.readsPerSecond,
-                    static_cast<unsigned long long>(r.executedEvents));
+            run("par4d-" + std::to_string(threads) + "t",
+                parallelScenario(par_per_tenant, threads)));
+        const ssd::RunStats &r = par_runs.back().stats;
+        std::printf("%-10s %12llu %12llu\n",
+                    par_runs.back().name.c_str(),
+                    static_cast<unsigned long long>(r.executedEvents),
+                    static_cast<unsigned long long>(r.reads));
     }
-    if (!identicalResults(par_runs[0], par_runs[1])) {
+    const std::vector<std::string> diff =
+        ssd::deterministicDiff(par_runs[0].stats, par_runs[1].stats);
+    if (!diff.empty()) {
         std::fprintf(stderr,
                      "FAIL: sharded engine results differ between 1 "
-                     "and 4 worker threads — determinism is broken\n%s",
-                     sim::benchDigestText(par_runs).c_str());
+                     "and 4 worker threads — determinism is broken; "
+                     "differing fields:");
+        for (const std::string &field : diff)
+            std::fprintf(stderr, " %s", field.c_str());
+        std::fprintf(stderr, "\n");
         return 1;
     }
-    if (par_runs[1].wallSeconds > 0.0)
-        std::printf("speedup (4 threads vs 1): %.2fx "
-                    "(bit-identical results)\n",
-                    par_runs[0].wallSeconds / par_runs[1].wallSeconds);
-    if (std::thread::hardware_concurrency() < 4) {
-        // The speedup comparison presumes 4 hardware threads; on a
-        // smaller machine the 4-worker run just timeslices, so keep
-        // the entries for trajectory continuity but flag them.
-        for (sim::BenchRun &r : par_runs)
-            r.unreliable = true;
-        std::printf("note: fewer than 4 hardware threads — par4d-* "
-                    "and fabric-* wall times marked unreliable in "
-                    "the JSON\n");
-    }
+    std::printf("1 and 4 worker threads: bit-identical results\n");
     runs.insert(runs.end(), par_runs.begin(), par_runs.end());
 
     // ----- RAID-5 degraded reads: healthy vs 1 failed drive -----
@@ -569,18 +446,20 @@ main(int argc, char **argv)
                 "2K P/E + 12-month retention, healthy vs drive 1 "
                 "failed\n",
                 static_cast<unsigned long long>(r5_per_tenant));
-    std::printf("%-24s %12s %10s %10s %12s %12s\n", "config",
-                "wall[s]", "p99r[us]", "p999r[us]", "p99degr[us]",
-                "degr-reads");
+    std::printf("%-24s %10s %10s %12s %12s\n", "config", "p99r[us]",
+                "p999r[us]", "p99degr[us]", "degr-reads");
     for (core::Mechanism m :
          {core::Mechanism::Baseline, core::Mechanism::PnAR2}) {
         for (bool degraded : {false, true}) {
             runs.push_back(
-                measureRaid5(m, degraded, r5_per_tenant, repeat));
-            const sim::BenchRun &r = runs.back();
-            std::printf("%-24s %12.3f %10.1f %10.1f %12.1f %12llu\n",
-                        r.name.c_str(), r.wallSeconds, r.p99ReadUs,
-                        r.p999ReadUs, r.p99DegradedReadUs,
+                run(std::string("raid5-") +
+                        (degraded ? "degraded" : "healthy") + "-" +
+                        core::name(m),
+                    raid5Scenario(m, r5_per_tenant, degraded)));
+            const ssd::RunStats &r = runs.back().stats;
+            std::printf("%-24s %10.1f %10.1f %12.1f %12llu\n",
+                        runs.back().name.c_str(), r.p99ReadResponseUs,
+                        r.p999ReadResponseUs, r.p99DegradedReadUs,
                         static_cast<unsigned long long>(
                             r.degradedReads));
         }
@@ -591,18 +470,18 @@ main(int argc, char **argv)
                 "seq_scan/YCSB-C reqs, QD 16, 2-drive array, PnAR2, "
                 "uncached vs 64 MiB DRAM cache\n",
                 static_cast<unsigned long long>(cd_per_tenant));
-    std::printf("%-12s %12s %10s %12s %10s %12s\n", "config",
-                "wall[s]", "p99r[us]", "hostp99[us]", "hit%",
-                "evictions");
-    std::vector<sim::BenchRun> cached_runs;
+    std::printf("%-12s %10s %12s %10s %12s\n", "config", "p99r[us]",
+                "hostp99[us]", "hit%", "evictions");
+    std::vector<host::BenchRun> cached_runs;
     for (bool cached : {false, true}) {
         cached_runs.push_back(
-            measureCached(cached, cd_per_tenant, repeat));
-        const sim::BenchRun &r = cached_runs.back();
+            run(std::string("cached-") + (cached ? "on" : "off"),
+                cachedScenario(cd_per_tenant, cached)));
+        const ssd::RunStats &r = cached_runs.back().stats;
         const std::uint64_t lookups = r.cacheHits + r.cacheMisses;
-        std::printf("%-12s %12.3f %10.1f %12.1f %9.1f%% %12llu\n",
-                    r.name.c_str(), r.wallSeconds, r.p99ReadUs,
-                    r.hostP99ReadUs,
+        std::printf("%-12s %10.1f %12.1f %9.1f%% %12llu\n",
+                    cached_runs.back().name.c_str(),
+                    r.p99ReadResponseUs, r.p99HostReadUs,
                     lookups ? 100.0 *
                                   static_cast<double>(r.cacheHits) /
                                   static_cast<double>(lookups)
@@ -613,14 +492,14 @@ main(int argc, char **argv)
     // The uncached run has no chain, so its array-level p99 IS its
     // host-surface p99; the cached run's host surface includes the
     // DRAM hits the array never sees.
-    if (cached_runs[1].cacheHits == 0)
+    if (cached_runs[1].stats.cacheHits == 0)
         std::fprintf(stderr, "WARN: cached run recorded no DRAM "
                              "cache hits\n");
     else
         std::printf("host-surface read p99: %.1f us uncached -> "
                     "%.1f us cached\n",
-                    cached_runs[0].p99ReadUs,
-                    cached_runs[1].hostP99ReadUs);
+                    cached_runs[0].stats.p99ReadResponseUs,
+                    cached_runs[1].stats.p99HostReadUs);
     runs.insert(runs.end(), cached_runs.begin(), cached_runs.end());
 
     // ----- fault timeline: healthy vs fail-slow vs fail-stop -----
@@ -630,31 +509,34 @@ main(int argc, char **argv)
                 "fail-slow on drive 2 vs drive 0 fail-stop at 4 ms "
                 "+ rebuild-to-spare (48 rows, 20 ms deadline)\n",
                 static_cast<unsigned long long>(ft_per_tenant));
-    std::printf("%-24s %12s %10s %10s %10s %10s %10s\n", "config",
-                "wall[s]", "p99r[us]", "timeouts", "failovers",
-                "rbld-reads", "ttr[ms]");
+    std::printf("%-24s %10s %10s %10s %10s %10s\n", "config",
+                "p99r[us]", "timeouts", "failovers", "rbld-reads",
+                "ttr[ms]");
     for (core::Mechanism m :
          {core::Mechanism::Baseline, core::Mechanism::PnAR2}) {
         for (FaultMode mode :
              {FaultMode::Healthy, FaultMode::FailSlow,
               FaultMode::FailStopRebuild}) {
-            runs.push_back(
-                measureFault(m, mode, ft_per_tenant, repeat));
-            const sim::BenchRun &r = runs.back();
-            std::printf(
-                "%-24s %12.3f %10.1f %10llu %10llu %10llu %10.2f\n",
-                r.name.c_str(), r.wallSeconds, r.p99ReadUs,
-                static_cast<unsigned long long>(r.hostTimeouts),
-                static_cast<unsigned long long>(r.hostFailovers),
-                static_cast<unsigned long long>(r.rebuildReads),
-                r.timeToRebuildMs);
+            runs.push_back(run(std::string("fault-") +
+                                   faultModeName(mode) + "-" +
+                                   core::name(m),
+                               faultScenario(m, ft_per_tenant, mode)));
+            const host::BenchRun &b = runs.back();
+            const ssd::RunStats &r = b.stats;
+            std::printf("%-24s %10.1f %10llu %10llu %10llu %10.2f\n",
+                        b.name.c_str(), r.p99ReadResponseUs,
+                        static_cast<unsigned long long>(r.hostTimeouts),
+                        static_cast<unsigned long long>(
+                            r.hostFailovers),
+                        static_cast<unsigned long long>(r.rebuildReads),
+                        r.timeToRebuildMs);
             if (mode == FaultMode::FailStopRebuild &&
                 r.failedRequests > 0)
                 std::fprintf(stderr,
                              "WARN: %s lost %llu requests — the "
                              "failover path should reconstruct every "
                              "foreground read\n",
-                             r.name.c_str(),
+                             b.name.c_str(),
                              static_cast<unsigned long long>(
                                  r.failedRequests));
         }
@@ -666,45 +548,44 @@ main(int argc, char **argv)
                 "per-drive links vs 2-switch tree vs 16x "
                 "oversubscribed uplinks\n",
                 static_cast<unsigned long long>(fb_per_tenant));
-    std::printf("%-24s %12s %10s %12s %10s %8s\n", "config",
-                "wall[s]", "p99r[us]", "fabwait[us]", "fab-KiB",
-                "maxQ");
-    std::vector<sim::BenchRun> fabric_runs;
+    std::printf("%-24s %10s %12s %10s %8s\n", "config", "p99r[us]",
+                "fabwait[us]", "fab-KiB", "maxQ");
     for (core::Mechanism m :
          {core::Mechanism::Baseline, core::Mechanism::PnAR2}) {
         for (FabricMode mode :
              {FabricMode::Flat, FabricMode::Tree,
               FabricMode::Oversub}) {
-            fabric_runs.push_back(
-                measureFabric(m, mode, fb_per_tenant, repeat));
-            const sim::BenchRun &r = fabric_runs.back();
-            std::printf("%-24s %12.3f %10.1f %12.2f %10llu %8u\n",
-                        r.name.c_str(), r.wallSeconds, r.p99ReadUs,
+            runs.push_back(run(std::string("fabric-") +
+                                   fabricModeName(mode) + "-" +
+                                   core::name(m),
+                               fabricScenario(m, fb_per_tenant, mode)));
+            const ssd::RunStats &r = runs.back().stats;
+            std::uint64_t bytes = 0;
+            std::uint32_t max_q = 0;
+            for (const ssd::RunStats::FabricLinkStats &l : r.fabricLinks) {
+                bytes += l.bytesCarried;
+                max_q = std::max(max_q, l.maxQueueDepth);
+            }
+            std::printf("%-24s %10.1f %12.2f %10llu %8u\n",
+                        runs.back().name.c_str(), r.p99ReadResponseUs,
                         r.avgFabricWaitUs,
-                        static_cast<unsigned long long>(
-                            r.fabricBytes >> 10),
-                        r.fabricMaxQueueDepth);
+                        static_cast<unsigned long long>(bytes >> 10),
+                        max_q);
         }
     }
-    if (std::thread::hardware_concurrency() < 4) {
-        // Same caveat as par4d-*: the 4-worker wall times presume 4
-        // hardware threads.
-        for (sim::BenchRun &r : fabric_runs)
-            r.unreliable = true;
+
+    if (!json_path.empty()) {
+        if (!host::writeBenchJson(json_path, label, runs))
+            return 1;
+        std::printf("\nwrote %s\n", json_path.c_str());
     }
-    runs.insert(runs.end(), fabric_runs.begin(), fabric_runs.end());
-
-    if (!sim::writeBenchJson(json_path, label, runs))
-        return 1;
-    std::printf("\nwrote %s\n", json_path.c_str());
-
     if (!update_golden.empty()) {
-        if (!sim::writeBenchGolden(update_golden, runs))
+        if (!host::writeBenchGolden(update_golden, runs))
             return 1;
         std::printf("updated golden digest %s\n", update_golden.c_str());
     }
     if (!check_golden.empty()) {
-        const int rc = sim::checkBenchDigest(check_golden, runs);
+        const int rc = host::checkBenchDigest(check_golden, runs);
         if (rc != 0)
             return rc;
         std::printf("simulation-result digest matches %s\n",

@@ -1,9 +1,9 @@
 # ssdrr_sim --bench-json must carry the same counters the text table
 # prints: runs a windowed RAID-5 scenario with a failed drive and
-# requires, per mechanism, the JSON "degraded_reads" to equal the
-# degraded(r) row's count and "windows_run" to be non-zero (the run
-# executes on the windowed engine). Both fields come from the shared
-# RunStats -> BenchRun fold.
+# requires, per mechanism, the JSON "degradedReads" to equal the
+# degraded(r) row's count and "executorWindowsRun" to be non-zero (the
+# run executes on the windowed engine). The JSON keys are the RunStats
+# field names (RunStats::forEachField).
 #
 # Inputs (all -D):
 #   SIM_TOOL   path to the ssdrr_sim binary
@@ -29,7 +29,7 @@ endif()
 file(READ "${json}" bench)
 
 string(REGEX MATCHALL "degraded\\(r\\) +- +[0-9]+" rows "${table}")
-string(REGEX MATCHALL "\"degraded_reads\": [0-9]+" fields "${bench}")
+string(REGEX MATCHALL "\"degradedReads\": [0-9]+" fields "${bench}")
 list(LENGTH rows n_rows)
 list(LENGTH fields n_fields)
 if(n_rows EQUAL 0 OR NOT n_rows EQUAL n_fields)
@@ -49,7 +49,7 @@ foreach(i RANGE ${last})
     endif()
 endforeach()
 
-string(REGEX MATCHALL "\"windows_run\": [0-9]+" windows "${bench}")
+string(REGEX MATCHALL "\"executorWindowsRun\": [0-9]+" windows "${bench}")
 foreach(w ${windows})
     if(w MATCHES ": 0$")
         message(FATAL_ERROR "windowed run wrote ${w} to the bench JSON")

@@ -1,11 +1,20 @@
 /**
  * @file
- * Canonical bench scenarios shared by the perf benches, the examples
- * smoke, and the sweep tests, so the "4 closed-loop tenants on a
+ * The canonical bench scenario and the results report the benches
+ * and ssdrr_sim --bench-json write.
+ *
+ * buildBenchScenario specifies the "4 closed-loop tenants on a
  * 2-drive striped array at the paper's mid-life operating point"
- * shape is specified once. The benches' golden digests depend on it
- * staying bit-identical to the historical hand-wired configs, so a
- * change here is a deliberate re-baseline, not a refactor.
+ * shape once, for the benches and the sweep tests. Golden outputs
+ * depend on it staying bit-identical to the historical hand-wired
+ * configs, so a change there is a deliberate re-baseline, not a
+ * refactor.
+ *
+ * The report holds simulation results only, never wall time (the
+ * perfbench/ harness times the simulator): a JSON file with every
+ * field RunStats::forEachField lists, and a digest of a fixed subset
+ * of the deterministic fields so that CI detects a result change
+ * that sneaks in under a perf patch.
  */
 
 #ifndef SSDRR_HOST_BENCH_SCENARIOS_HH
@@ -13,10 +22,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "host/host_interface.hh"
 #include "host/scenario_spec.hh"
-#include "sim/bench_report.hh"
 #include "ssd/ssd.hh"
 
 namespace ssdrr::host {
@@ -36,15 +45,46 @@ ScenarioSpec
 buildBenchScenario(std::uint64_t requests_per_tenant = 400,
                    Arbitration arb = Arbitration::RoundRobin);
 
+/** One reported configuration (e.g. one mechanism) of a bench. */
+struct BenchRun {
+    std::string name;
+    ssd::RunStats stats;
+};
+
 /**
- * Fold one measured run into a perf-trajectory entry named @p name:
- * every RunStats counter BenchRun mirrors, plus the rates derived
- * from @p wall_seconds. The only RunStats -> BenchRun copy, shared by
- * bench_sim_throughput and ssdrr_sim --bench-json.
+ * Canonical text the digest is computed over: one line per run with
+ * 13 deterministic fields (event, request and retry counts, simulated
+ * time, read percentiles). Doubles are rounded to 1e-3 in fixed
+ * notation, so the text is stable against formatting but sensitive
+ * to any result change. bench/sim_throughput.golden pins it.
  */
-sim::BenchRun benchRunFrom(const std::string &name,
-                           const ssd::RunStats &stats,
-                           double wall_seconds);
+std::string benchDigestText(const std::vector<BenchRun> &runs);
+
+/** FNV-1a over benchDigestText(). */
+std::uint64_t benchDigest(const std::vector<BenchRun> &runs);
+
+/**
+ * Write the runs as JSON: @p label names the scenario, each run has
+ * its name, every RunStats::forEachField field under its C++ name,
+ * and its fabricLinks rows; the digest rides along.
+ * @return false (with a warning) if the file cannot be written.
+ */
+bool writeBenchJson(const std::string &path, const std::string &label,
+                    const std::vector<BenchRun> &runs);
+
+/**
+ * Compare the runs' digest against a golden digest file (first
+ * whitespace-delimited token = hex digest; rest ignored).
+ * @retval 0 match
+ * @retval 1 mismatch (details on stderr)
+ * @retval 2 golden file unreadable
+ */
+int checkBenchDigest(const std::string &golden_path,
+                     const std::vector<BenchRun> &runs);
+
+/** Write/overwrite the golden digest file (digest + breakdown). */
+bool writeBenchGolden(const std::string &golden_path,
+                      const std::vector<BenchRun> &runs);
 
 } // namespace ssdrr::host
 

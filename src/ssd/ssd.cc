@@ -389,4 +389,27 @@ Ssd::stats() const
     return s;
 }
 
+std::vector<std::string>
+deterministicDiff(const RunStats &a, const RunStats &b)
+{
+    std::vector<std::string> diff;
+    RunStats::forEachField(
+        [&](const char *name, auto field, bool deterministic) {
+            if (deterministic && a.*field != b.*field)
+                diff.emplace_back(name);
+        });
+    if (a.fabricLinks.size() != b.fabricLinks.size()) {
+        diff.emplace_back("fabricLinks");
+        return diff;
+    }
+    for (std::size_t i = 0; i < a.fabricLinks.size(); ++i)
+        RunStats::FabricLinkStats::forEachField(
+            [&](const char *name, auto field) {
+                if (a.fabricLinks[i].*field != b.fabricLinks[i].*field)
+                    diff.push_back("fabricLinks[" + std::to_string(i) +
+                                   "]." + name);
+            });
+    return diff;
+}
+
 } // namespace ssdrr::ssd

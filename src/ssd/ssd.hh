@@ -179,6 +179,18 @@ struct RunStats {
         double busyUs = 0.0;            ///< total serialization time
         double waitUs = 0.0;            ///< total FIFO queueing wait
         std::uint32_t maxQueueDepth = 0;
+
+        /** Calls f(name, &FabricLinkStats::member) per field. */
+        template <class F>
+        static void forEachField(F &&f)
+        {
+            f("link", &FabricLinkStats::link);
+            f("messages", &FabricLinkStats::messages);
+            f("bytesCarried", &FabricLinkStats::bytesCarried);
+            f("busyUs", &FabricLinkStats::busyUs);
+            f("waitUs", &FabricLinkStats::waitUs);
+            f("maxQueueDepth", &FabricLinkStats::maxQueueDepth);
+        }
     };
     std::vector<FabricLinkStats> fabricLinks;
     /** Mean fabric FIFO wait charged to each array read (dispatch +
@@ -215,7 +227,88 @@ struct RunStats {
     /** Bounded-spin iterations across workers + coordinator.
      *  Timing-dependent, report-only. */
     std::uint64_t executorSpins = 0;
+
+    /**
+     * The one list of RunStats' scalar fields: calls
+     * f(name, &RunStats::member, deterministic) for each, in
+     * declaration order. The name is the C++ field name (it is the
+     * bench-JSON key), and deterministic is false only for the
+     * executor's timing-dependent parks/spins. fabricLinks is not
+     * scalar and is left to the caller. Every field declared above
+     * must be listed here; ssd_test checks the count via sizeof.
+     */
+    template <class F>
+    static void forEachField(F &&f)
+    {
+        f("avgReadResponseUs", &RunStats::avgReadResponseUs, true);
+        f("avgWriteResponseUs", &RunStats::avgWriteResponseUs, true);
+        f("avgResponseUs", &RunStats::avgResponseUs, true);
+        f("p99ResponseUs", &RunStats::p99ResponseUs, true);
+        f("maxResponseUs", &RunStats::maxResponseUs, true);
+        f("p50ReadResponseUs", &RunStats::p50ReadResponseUs, true);
+        f("p99ReadResponseUs", &RunStats::p99ReadResponseUs, true);
+        f("p999ReadResponseUs", &RunStats::p999ReadResponseUs, true);
+        f("avgRetrySteps", &RunStats::avgRetrySteps, true);
+        f("retrySamples", &RunStats::retrySamples, true);
+        f("reads", &RunStats::reads, true);
+        f("writes", &RunStats::writes, true);
+        f("suspensions", &RunStats::suspensions, true);
+        f("gcCollections", &RunStats::gcCollections, true);
+        f("timingFallbacks", &RunStats::timingFallbacks, true);
+        f("readFailures", &RunStats::readFailures, true);
+        f("refreshes", &RunStats::refreshes, true);
+        f("degradedReads", &RunStats::degradedReads, true);
+        f("reconstructionReads", &RunStats::reconstructionReads, true);
+        f("parityWrites", &RunStats::parityWrites, true);
+        f("avgDegradedReadUs", &RunStats::avgDegradedReadUs, true);
+        f("p50DegradedReadUs", &RunStats::p50DegradedReadUs, true);
+        f("p99DegradedReadUs", &RunStats::p99DegradedReadUs, true);
+        f("p999DegradedReadUs", &RunStats::p999DegradedReadUs, true);
+        f("simulatedMs", &RunStats::simulatedMs, true);
+        f("channelUtilization", &RunStats::channelUtilization, true);
+        f("eccUtilization", &RunStats::eccUtilization, true);
+        f("profileCacheHits", &RunStats::profileCacheHits, true);
+        f("profileCacheMisses", &RunStats::profileCacheMisses, true);
+        f("cacheHits", &RunStats::cacheHits, true);
+        f("cacheMisses", &RunStats::cacheMisses, true);
+        f("cacheEvictions", &RunStats::cacheEvictions, true);
+        f("prefetchIssued", &RunStats::prefetchIssued, true);
+        f("prefetchUseful", &RunStats::prefetchUseful, true);
+        f("splitRequests", &RunStats::splitRequests, true);
+        f("coalescedRequests", &RunStats::coalescedRequests, true);
+        f("delayedRequests", &RunStats::delayedRequests, true);
+        f("throttledRequests", &RunStats::throttledRequests, true);
+        f("hostTimeouts", &RunStats::hostTimeouts, true);
+        f("hostRetries", &RunStats::hostRetries, true);
+        f("hostFailovers", &RunStats::hostFailovers, true);
+        f("ueccReads", &RunStats::ueccReads, true);
+        f("failedRequests", &RunStats::failedRequests, true);
+        f("rebuildReads", &RunStats::rebuildReads, true);
+        f("rebuildProgress", &RunStats::rebuildProgress, true);
+        f("timeToRebuildMs", &RunStats::timeToRebuildMs, true);
+        f("avgFabricWaitUs", &RunStats::avgFabricWaitUs, true);
+        f("hostReads", &RunStats::hostReads, true);
+        f("avgHostReadUs", &RunStats::avgHostReadUs, true);
+        f("p50HostReadUs", &RunStats::p50HostReadUs, true);
+        f("p99HostReadUs", &RunStats::p99HostReadUs, true);
+        f("p999HostReadUs", &RunStats::p999HostReadUs, true);
+        f("executedEvents", &RunStats::executedEvents, true);
+        f("executorWindowsRun", &RunStats::executorWindowsRun, true);
+        f("executorWindowsSkipped", &RunStats::executorWindowsSkipped, true);
+        f("executorParks", &RunStats::executorParks, false);
+        f("executorSpins", &RunStats::executorSpins, false);
+    }
 };
+
+/**
+ * The deterministic fields (forEachField's deterministic ones, plus
+ * every fabricLinks row) on which @p a and @p b differ, compared
+ * exactly: a changed event order first shows up as a last-bit drift
+ * in an accumulated mean. Rows are named "fabricLinks[i].field", or
+ * just "fabricLinks" when the row counts differ. Empty when equal.
+ */
+std::vector<std::string> deterministicDiff(const RunStats &a,
+                                           const RunStats &b);
 
 class Ssd
 {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "host/array.hh"
@@ -101,9 +102,8 @@ TEST(ArrayFaults, GenerousTimeoutChangesNothing)
     const ssd::HostCompletion same = probeRead(b, 1);
 
     EXPECT_DOUBLE_EQ(base.responseUs, same.responseUs);
-    EXPECT_EQ(a.stats().executedEvents, b.stats().executedEvents);
-    EXPECT_EQ(b.stats().hostTimeouts, 0u);
-    EXPECT_EQ(b.stats().hostRetries, 0u);
+    EXPECT_EQ(ssd::deterministicDiff(a.stats(), b.stats()),
+              std::vector<std::string>{});
 }
 
 TEST(ArrayFaults, FailSlowStretchesDeviceLatency)
@@ -251,13 +251,8 @@ TEST(ArrayFaults, FaultRunsAreDeterministic)
         a.drain();
         return a.stats();
     };
-    const ssd::RunStats x = run();
-    const ssd::RunStats y = run();
-    EXPECT_EQ(x.executedEvents, y.executedEvents);
-    EXPECT_EQ(x.ueccReads, y.ueccReads);
-    EXPECT_EQ(x.hostRetries, y.hostRetries);
-    EXPECT_EQ(x.hostFailovers, y.hostFailovers);
-    EXPECT_DOUBLE_EQ(x.avgReadResponseUs, y.avgReadResponseUs);
+    EXPECT_EQ(ssd::deterministicDiff(run(), run()),
+              std::vector<std::string>{});
 }
 
 } // namespace

@@ -10,11 +10,16 @@
  * sweep_jobs_determinism ctest, which runs the ssdrr_sweep binary
  * at --jobs 1 vs --jobs 4 and diffs bytes. The ScenarioEdit cases
  * cover the path setter itself (host/scenario_edit.hh), shared with
- * ssdrr_sim --set.
+ * ssdrr_sim --set. The BenchReport case covers the results JSON
+ * that bench_sim_throughput and ssdrr_sim --bench-json write
+ * (host/bench_scenarios.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "host/bench_scenarios.hh"
@@ -366,6 +371,57 @@ TEST(Sweep, ErrorRowsDegradeTheTableNotTheAggregate)
     const std::string table = host::sweepTable(agg);
     EXPECT_NE(table.find("synthetic failure"), std::string::npos);
     EXPECT_NE(table.find("digest: "), std::string::npos);
+}
+
+TEST(BenchReport, JsonHasOneKeyPerListedField)
+{
+    // Give every listed field a distinct value, so a key that reads
+    // the wrong field fails too.
+    host::BenchRun run{"probe", {}};
+    std::uint64_t next = 1;
+    std::size_t listed = 0;
+    ssd::RunStats::forEachField([&](const char *, auto field, bool) {
+        run.stats.*field = next++;
+        ++listed;
+    });
+    ssd::RunStats::FabricLinkStats link;
+    link.link = "host0<->d0";
+    link.maxQueueDepth = 7;
+    run.stats.fabricLinks.push_back(link);
+
+    const std::string path =
+        testing::TempDir() + "/ssdrr_bench_report.json";
+    ASSERT_TRUE(host::writeBenchJson(path, "probe label", {run}));
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    std::string error;
+    const Value doc = sim::json::parse(text.str(), &error);
+    ASSERT_TRUE(error.empty()) << error;
+
+    EXPECT_EQ(doc.find("scenario")->asString(), "probe label");
+    char digest[32];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(
+                      host::benchDigest({run})));
+    EXPECT_EQ(doc.find("digest")->asString(), digest);
+    ASSERT_EQ(doc.find("runs")->elements().size(), 1u);
+    const Value &entry = doc.find("runs")->elements()[0];
+    // name + the listed fields + fabricLinks, and nothing else.
+    EXPECT_EQ(entry.members().size(), listed + 2);
+    EXPECT_EQ(entry.find("name")->asString(), "probe");
+    std::uint64_t expected = 1;
+    ssd::RunStats::forEachField([&](const char *name, auto, bool) {
+        SCOPED_TRACE(name);
+        const Value *v = entry.find(name);
+        ASSERT_NE(v, nullptr);
+        EXPECT_EQ(v->asNumber(), static_cast<double>(expected++));
+    });
+    const Value &links = *entry.find("fabricLinks");
+    ASSERT_EQ(links.elements().size(), 1u);
+    EXPECT_EQ(links.elements()[0].find("link")->asString(), "host0<->d0");
+    EXPECT_EQ(links.elements()[0].find("maxQueueDepth")->asNumber(), 7.0);
 }
 
 } // namespace

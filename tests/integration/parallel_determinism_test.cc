@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "fabric/topology.hh"
 #include "host/scenario_spec.hh"
@@ -22,116 +23,14 @@
 namespace ssdrr {
 namespace {
 
-void
-expectIdenticalDegraded(const ssd::RunStats &a, const ssd::RunStats &b)
-{
-    EXPECT_EQ(a.degradedReads, b.degradedReads);
-    EXPECT_EQ(a.reconstructionReads, b.reconstructionReads);
-    EXPECT_EQ(a.parityWrites, b.parityWrites);
-    EXPECT_EQ(a.avgDegradedReadUs, b.avgDegradedReadUs);
-    EXPECT_EQ(a.p50DegradedReadUs, b.p50DegradedReadUs);
-    EXPECT_EQ(a.p99DegradedReadUs, b.p99DegradedReadUs);
-    EXPECT_EQ(a.p999DegradedReadUs, b.p999DegradedReadUs);
-}
-
-void
-expectIdenticalFilterStats(const ssd::RunStats &a,
-                           const ssd::RunStats &b)
-{
-    EXPECT_EQ(a.cacheHits, b.cacheHits);
-    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
-    EXPECT_EQ(a.cacheEvictions, b.cacheEvictions);
-    EXPECT_EQ(a.prefetchIssued, b.prefetchIssued);
-    EXPECT_EQ(a.prefetchUseful, b.prefetchUseful);
-    EXPECT_EQ(a.splitRequests, b.splitRequests);
-    EXPECT_EQ(a.coalescedRequests, b.coalescedRequests);
-    EXPECT_EQ(a.delayedRequests, b.delayedRequests);
-    EXPECT_EQ(a.throttledRequests, b.throttledRequests);
-    EXPECT_EQ(a.hostReads, b.hostReads);
-    EXPECT_EQ(a.avgHostReadUs, b.avgHostReadUs);
-    EXPECT_EQ(a.p50HostReadUs, b.p50HostReadUs);
-    EXPECT_EQ(a.p99HostReadUs, b.p99HostReadUs);
-    EXPECT_EQ(a.p999HostReadUs, b.p999HostReadUs);
-}
-
-void
-expectIdenticalFaultStats(const ssd::RunStats &a,
-                          const ssd::RunStats &b)
-{
-    EXPECT_EQ(a.hostTimeouts, b.hostTimeouts);
-    EXPECT_EQ(a.hostRetries, b.hostRetries);
-    EXPECT_EQ(a.hostFailovers, b.hostFailovers);
-    EXPECT_EQ(a.ueccReads, b.ueccReads);
-    EXPECT_EQ(a.failedRequests, b.failedRequests);
-    EXPECT_EQ(a.rebuildReads, b.rebuildReads);
-    EXPECT_EQ(a.rebuildProgress, b.rebuildProgress);
-    EXPECT_EQ(a.timeToRebuildMs, b.timeToRebuildMs);
-}
-
-void
-expectIdenticalFabricStats(const ssd::RunStats &a,
-                           const ssd::RunStats &b)
-{
-    EXPECT_EQ(a.avgFabricWaitUs, b.avgFabricWaitUs);
-    ASSERT_EQ(a.fabricLinks.size(), b.fabricLinks.size());
-    for (std::size_t l = 0; l < a.fabricLinks.size(); ++l) {
-        SCOPED_TRACE("link " + a.fabricLinks[l].link);
-        EXPECT_EQ(a.fabricLinks[l].link, b.fabricLinks[l].link);
-        EXPECT_EQ(a.fabricLinks[l].messages,
-                  b.fabricLinks[l].messages);
-        EXPECT_EQ(a.fabricLinks[l].bytesCarried,
-                  b.fabricLinks[l].bytesCarried);
-        EXPECT_EQ(a.fabricLinks[l].busyUs, b.fabricLinks[l].busyUs);
-        EXPECT_EQ(a.fabricLinks[l].waitUs, b.fabricLinks[l].waitUs);
-        EXPECT_EQ(a.fabricLinks[l].maxQueueDepth,
-                  b.fabricLinks[l].maxQueueDepth);
-    }
-}
-
-/** Every RunStats field the thread-parity tests compare, except the
- *  fabric's per-link rows and read wait. */
-void
-expectIdenticalArrayExceptFabric(const ssd::RunStats &a,
-                                 const ssd::RunStats &b)
-{
-    expectIdenticalDegraded(a, b);
-    expectIdenticalFilterStats(a, b);
-    expectIdenticalFaultStats(a, b);
-    // EXPECT_EQ on doubles is exact comparison, deliberately: a
-    // cross-domain ordering leak would first show up as a 1-ULP
-    // drift in a floating-point accumulation, which a tolerant
-    // comparison (EXPECT_DOUBLE_EQ = 4 ULPs) would wave through.
-
-    EXPECT_EQ(a.reads, b.reads);
-    EXPECT_EQ(a.writes, b.writes);
-    EXPECT_EQ(a.retrySamples, b.retrySamples);
-    EXPECT_EQ(a.suspensions, b.suspensions);
-    EXPECT_EQ(a.gcCollections, b.gcCollections);
-    EXPECT_EQ(a.timingFallbacks, b.timingFallbacks);
-    EXPECT_EQ(a.readFailures, b.readFailures);
-    EXPECT_EQ(a.refreshes, b.refreshes);
-    EXPECT_EQ(a.executedEvents, b.executedEvents);
-    EXPECT_EQ(a.profileCacheHits, b.profileCacheHits);
-    EXPECT_EQ(a.profileCacheMisses, b.profileCacheMisses);
-    EXPECT_EQ(a.avgRetrySteps, b.avgRetrySteps);
-    EXPECT_EQ(a.avgResponseUs, b.avgResponseUs);
-    EXPECT_EQ(a.avgReadResponseUs, b.avgReadResponseUs);
-    EXPECT_EQ(a.avgWriteResponseUs, b.avgWriteResponseUs);
-    EXPECT_EQ(a.p99ResponseUs, b.p99ResponseUs);
-    EXPECT_EQ(a.maxResponseUs, b.maxResponseUs);
-    EXPECT_EQ(a.p50ReadResponseUs, b.p50ReadResponseUs);
-    EXPECT_EQ(a.p99ReadResponseUs, b.p99ReadResponseUs);
-    EXPECT_EQ(a.p999ReadResponseUs, b.p999ReadResponseUs);
-    EXPECT_EQ(a.simulatedMs, b.simulatedMs);
-    EXPECT_EQ(a.channelUtilization, b.channelUtilization);
-    EXPECT_EQ(a.eccUtilization, b.eccUtilization);
-}
-
+/** Every deterministic RunStats field, fabric rows included. The
+ *  comparison is exact, deliberately: a cross-domain ordering leak
+ *  would first show up as a 1-ULP drift in a floating-point
+ *  accumulation, which a tolerant comparison would wave through. */
 void
 expectIdenticalArray(const ssd::RunStats &a, const ssd::RunStats &b)
 {
-    expectIdenticalArrayExceptFabric(a, b);
-    expectIdenticalFabricStats(a, b);
+    EXPECT_EQ(ssd::deterministicDiff(a, b), std::vector<std::string>{});
 }
 
 void
@@ -607,16 +506,10 @@ TEST(ParallelDeterminism, FastForwardCountersMatchAcrossThreads)
     // Single-thread runs have no worker pool and must never park.
     EXPECT_EQ(one.array.executorParks, 0u);
     EXPECT_EQ(one.array.executorSpins, 0u);
+    // windowsRun/windowsSkipped must be worker-count-invariant, so
+    // the full comparison below covers them.
     const host::ScenarioResult two = runSparseQd1(2);
     const host::ScenarioResult four = runSparseQd1(4);
-    for (const host::ScenarioResult *r : {&two, &four}) {
-        EXPECT_EQ(r->array.executorWindowsRun,
-                  one.array.executorWindowsRun)
-            << "windowsRun must be worker-count-invariant";
-        EXPECT_EQ(r->array.executorWindowsSkipped,
-                  one.array.executorWindowsSkipped)
-            << "windowsSkipped must be worker-count-invariant";
-    }
     {
         SCOPED_TRACE("threads 1 vs 2");
         expectIdenticalResult(one, two);
@@ -705,11 +598,13 @@ TEST(ParallelDeterminism, HostLinkIsAFlatFabric)
         EXPECT_EQ(link.array.avgFabricWaitUs, 0.0);
         ASSERT_EQ(flat.array.fabricLinks.size(), 4u);
         EXPECT_GT(flat.array.fabricLinks[0].messages, 0u);
-        expectIdenticalArrayExceptFabric(link.array, flat.array);
-        EXPECT_EQ(link.array.executorWindowsRun,
-                  flat.array.executorWindowsRun);
-        EXPECT_EQ(link.array.executorWindowsSkipped,
-                  flat.array.executorWindowsSkipped);
+        auto without_fabric = [](ssd::RunStats s) {
+            s.avgFabricWaitUs = 0.0;
+            s.fabricLinks.clear();
+            return s;
+        };
+        expectIdenticalArray(without_fabric(link.array),
+                             without_fabric(flat.array));
         expectIdenticalTenants(link, flat);
     }
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -162,12 +164,8 @@ TEST(Ssd, ReplayIsDeterministic)
 
     Ssd a(testConfig(1.0, 6.0), core::Mechanism::PnAR2);
     Ssd b(testConfig(1.0, 6.0), core::Mechanism::PnAR2);
-    const RunStats sa = a.replay(trace);
-    const RunStats sb = b.replay(trace);
-    EXPECT_DOUBLE_EQ(sa.avgResponseUs, sb.avgResponseUs);
-    EXPECT_DOUBLE_EQ(sa.p99ResponseUs, sb.p99ResponseUs);
-    EXPECT_DOUBLE_EQ(sa.avgRetrySteps, sb.avgRetrySteps);
-    EXPECT_EQ(sa.suspensions, sb.suspensions);
+    EXPECT_EQ(deterministicDiff(a.replay(trace), b.replay(trace)),
+              std::vector<std::string>{});
 }
 
 TEST(Ssd, SuspensionServesReadsDuringPrograms)
@@ -372,38 +370,6 @@ replayLazily(const Config &cfg, const workload::Trace &trace)
     return out;
 }
 
-/** Every field a single drive's stats() fills; the rest of RunStats
- *  is host, array and executor accounting that stays zero here. */
-void
-expectIdenticalDriveStats(const RunStats &a, const RunStats &b)
-{
-    // Exact comparison on doubles: a changed event order first shows
-    // up as a last-bit drift in an accumulated mean.
-    EXPECT_EQ(a.avgReadResponseUs, b.avgReadResponseUs);
-    EXPECT_EQ(a.avgWriteResponseUs, b.avgWriteResponseUs);
-    EXPECT_EQ(a.avgResponseUs, b.avgResponseUs);
-    EXPECT_EQ(a.p99ResponseUs, b.p99ResponseUs);
-    EXPECT_EQ(a.maxResponseUs, b.maxResponseUs);
-    EXPECT_EQ(a.p50ReadResponseUs, b.p50ReadResponseUs);
-    EXPECT_EQ(a.p99ReadResponseUs, b.p99ReadResponseUs);
-    EXPECT_EQ(a.p999ReadResponseUs, b.p999ReadResponseUs);
-    EXPECT_EQ(a.avgRetrySteps, b.avgRetrySteps);
-    EXPECT_EQ(a.retrySamples, b.retrySamples);
-    EXPECT_EQ(a.reads, b.reads);
-    EXPECT_EQ(a.writes, b.writes);
-    EXPECT_EQ(a.suspensions, b.suspensions);
-    EXPECT_EQ(a.gcCollections, b.gcCollections);
-    EXPECT_EQ(a.timingFallbacks, b.timingFallbacks);
-    EXPECT_EQ(a.readFailures, b.readFailures);
-    EXPECT_EQ(a.refreshes, b.refreshes);
-    EXPECT_EQ(a.profileCacheHits, b.profileCacheHits);
-    EXPECT_EQ(a.profileCacheMisses, b.profileCacheMisses);
-    EXPECT_EQ(a.executedEvents, b.executedEvents);
-    EXPECT_EQ(a.simulatedMs, b.simulatedMs);
-    EXPECT_EQ(a.channelUtilization, b.channelUtilization);
-    EXPECT_EQ(a.eccUtilization, b.eccUtilization);
-}
-
 TEST(Ssd, ReplayMatchesEagerSchedule)
 {
     const Config cfg = testConfig(1.0, 6.0);
@@ -460,7 +426,8 @@ TEST(Ssd, ReplayMatchesEagerSchedule)
                             });
     ASSERT_GE(ties, 1u) << "no arrival landed on a completion tick";
 
-    expectIdenticalDriveStats(eager.stats, lazy.stats);
+    EXPECT_EQ(deterministicDiff(eager.stats, lazy.stats),
+              std::vector<std::string>{});
     EXPECT_EQ(lazy.stats.reads + lazy.stats.writes, trace.size());
     ASSERT_EQ(eager.done.size(), lazy.done.size());
     for (std::size_t i = 0; i < eager.done.size(); ++i) {
@@ -514,6 +481,70 @@ TEST(Ssd, ResponseHistogramsArePopulated)
     EXPECT_EQ(ssd.responseTimes().count(), trace.size());
     EXPECT_GT(ssd.readResponseTimes().count(), 0u);
     EXPECT_LE(ssd.readResponseTimes().count(), trace.size());
+}
+
+/** The names RunStats::forEachField lists, in order. */
+std::vector<std::string>
+listedFields()
+{
+    std::vector<std::string> names;
+    RunStats::forEachField(
+        [&](const char *name, auto, bool) { names.emplace_back(name); });
+    return names;
+}
+
+TEST(RunStatsFields, ForEachFieldListsEveryScalarField)
+{
+    // Every top-level field is a double or a uint64 next to the one
+    // vector, so a field added to RunStats but not to forEachField
+    // changes sizeof(RunStats) without changing the listed count.
+    std::size_t listed = 0;
+    std::set<std::ptrdiff_t> offsets;
+    const RunStats s;
+    const char *base = reinterpret_cast<const char *>(&s);
+    RunStats::forEachField([&](const char *, auto field, bool) {
+        EXPECT_EQ(sizeof(s.*field), 8u);
+        offsets.insert(reinterpret_cast<const char *>(&(s.*field)) - base);
+        ++listed;
+    });
+    EXPECT_EQ(offsets.size(), listed) << "a field is listed twice";
+    const std::vector<std::string> names = listedFields();
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+              listed);
+    EXPECT_EQ(listed * 8 + sizeof(std::vector<RunStats::FabricLinkStats>),
+              sizeof(RunStats));
+}
+
+TEST(RunStatsFields, DeterministicDiffNamesEachPerturbedField)
+{
+    EXPECT_TRUE(deterministicDiff(RunStats(), RunStats()).empty());
+    std::size_t timing = 0;
+    RunStats::forEachField(
+        [&](const char *name, auto field, bool deterministic) {
+            SCOPED_TRACE(name);
+            RunStats changed;
+            changed.*field = 1;
+            const std::vector<std::string> diff =
+                deterministicDiff(RunStats(), changed);
+            if (deterministic) {
+                EXPECT_EQ(diff, std::vector<std::string>{name});
+            } else {
+                EXPECT_TRUE(diff.empty());
+                ++timing;
+            }
+        });
+    // Only the executor's parks and spins depend on wall-clock timing.
+    EXPECT_EQ(timing, 2u);
+
+    RunStats a;
+    a.fabricLinks.resize(2);
+    RunStats b = a;
+    b.fabricLinks[1].waitUs = 0.5;
+    EXPECT_EQ(deterministicDiff(a, b),
+              std::vector<std::string>{"fabricLinks[1].waitUs"});
+    b.fabricLinks.pop_back();
+    EXPECT_EQ(deterministicDiff(a, b),
+              std::vector<std::string>{"fabricLinks"});
 }
 
 } // namespace

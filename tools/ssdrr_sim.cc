@@ -58,16 +58,13 @@
  * All flag-validation failures exit with status 2 and name the
  * offending flag or scenario path.
  *
- * Perf trajectory:
- *     --bench-json PATH          also write a BENCH_sim_throughput
- *                                JSON (wall time, events/sec,
- *                                reads/sec and the deterministic
- *                                result digest, one entry per
- *                                mechanism) for the run
+ * Results JSON:
+ *     --bench-json PATH          also write every RunStats field of
+ *                                each mechanism's run, plus the
+ *                                result digest, as JSON
  */
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -79,7 +76,6 @@
 #include "host/scenario.hh"
 #include "host/scenario_edit.hh"
 #include "host/scenario_spec.hh"
-#include "sim/bench_report.hh"
 #include "ssd/ssd.hh"
 #include "workload/export.hh"
 #include "workload/msr_parser.hh"
@@ -110,7 +106,7 @@ struct Options {
     std::vector<std::string> edits;
     bool dumpScenario = false;
     bool listWorkloads = false;
-    /** Perf-trajectory JSON output path (empty = off). */
+    /** Results JSON output path (empty = off). */
     std::string benchJson;
     /** Single-SSD replay flags seen, for --scenario checks. */
     std::vector<std::string> replayFlags;
@@ -303,17 +299,12 @@ runSpec(const host::ScenarioSpec &spec, const std::string &bench_json,
                 "p50[us]", "p99[us]", "p99.9[us]");
 
     host::TraceCache trace_cache; // parse a CSV once for the sweep
-    std::vector<sim::BenchRun> bench_runs;
+    std::vector<host::BenchRun> bench_runs;
     for (const std::string &mname : spec.mechanisms) {
         const core::Mechanism mech = core::parseMechanism(mname);
-        const auto t0_wall = std::chrono::steady_clock::now();
         const host::ScenarioResult res =
             host::runScenario(spec, mech, &trace_cache);
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0_wall)
-                .count();
-        bench_runs.push_back(host::benchRunFrom(mname, res.array, wall));
+        bench_runs.push_back({mname, res.array});
         for (std::size_t t = 0; t < res.tenants.size(); ++t) {
             const host::TenantStats &s = res.tenants[t];
             std::printf("%-10s %-14s %3u %6llu %10.1f %10.1f %10.1f "
@@ -433,7 +424,7 @@ runSpec(const host::ScenarioSpec &spec, const std::string &bench_json,
         }
     }
     if (!bench_json.empty()) {
-        if (!sim::writeBenchJson(bench_json, label, bench_runs))
+        if (!host::writeBenchJson(bench_json, label, bench_runs))
             return 1;
         std::printf("\nwrote %s\n", bench_json.c_str());
     }
@@ -575,16 +566,12 @@ realMain(int argc, char **argv)
                 "refreshes");
 
     double baseline = 0.0;
-    std::vector<sim::BenchRun> bench_runs;
+    std::vector<host::BenchRun> bench_runs;
     for (const std::string &name : opt.mechanisms) {
         const core::Mechanism mech = core::parseMechanism(name);
         ssd::Ssd ssd(cfg, mech);
-        const auto t0 = std::chrono::steady_clock::now();
         const ssd::RunStats st = ssd.replay(trace);
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        bench_runs.push_back(host::benchRunFrom(name, st, wall));
+        bench_runs.push_back({name, st});
         if (baseline == 0.0)
             baseline = st.avgResponseUs;
         std::printf("%-16s %10.1f %10.1f %10.1f %10.1f %10.1f %8.2f "
@@ -600,7 +587,7 @@ realMain(int argc, char **argv)
     if (!opt.benchJson.empty()) {
         const std::string label =
             "ssdrr_sim single-replay (" + opt.workload + ")";
-        if (!sim::writeBenchJson(opt.benchJson, label, bench_runs))
+        if (!host::writeBenchJson(opt.benchJson, label, bench_runs))
             return 1;
         std::printf("\nwrote %s\n", opt.benchJson.c_str());
     }
