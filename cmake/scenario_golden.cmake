@@ -6,8 +6,8 @@
 # with the first differing line. The cases are the example scenarios
 # (`ssdrr_sim --scenario examples/scenarios/<name>.json` against
 # <name>.golden), the single-SSD paper-table replays under
-# tests/data/, and the default output of every paper bench
-# (bench/goldens/<bench>.golden).
+# tests/data/, and the default output of every paper bench and of
+# bench_multi_tenant_tail (bench/goldens/<bench>.golden).
 #
 # Inputs (all -D):
 #   TOOL       path to the binary to run
